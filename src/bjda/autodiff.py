@@ -403,6 +403,42 @@ def pairwise_sqdist(a: Value, b: Value) -> Value:
     return out
 
 
+def triplet_hinge(d: Value, labels, margin: float) -> Value:
+    """Batch-all triplet hinge sum, as a 1x1 matrix.
+
+    Sums max{d_ij - d_ik + margin, 0} over anchors i, same-class j != i and
+    other-class k, reading anchor rows of the n x n matrix d. Each class is
+    handled on its d[own, own] and d[own, other] blocks. A triple is active
+    where (d_ij - d_ik) + margin > 0; the adjoint adds each entry's active
+    count at d_ij and subtracts it at d_ik, times the upstream gradient.
+    """
+    n = d.shape[0]
+    labels = np.asarray(labels)
+    if d.shape != (n, n) or labels.shape != (n,):
+        raise DimensionError(f"triplet_hinge: expected a square matrix and one label "
+                             f"per row, got {d.shape} and {labels.shape}")
+    margin = float(margin)
+    total = 0.0
+    counts = np.zeros((n, n))
+    for c in np.unique(labels):
+        own = np.flatnonzero(labels == c)
+        other = np.flatnonzero(labels != c)
+        rows = d.value[own]
+        expr = (rows[:, own, None] - rows[:, None, other]) + margin
+        active = expr > 0.0
+        active[np.arange(own.size), np.arange(own.size)] = False   # j == i
+        total += expr[active].sum()
+        counts[np.ix_(own, own)] = active.sum(axis=2)
+        counts[np.ix_(own, other)] = -active.sum(axis=1)
+    out = d.tape._record(np.array([[total]]), (d,), None)
+
+    def backward():
+        d.grad += out.grad[0, 0] * counts
+
+    out._backward = backward
+    return out
+
+
 def nuclear_norm(a: Value) -> Value:
     """Sum of singular values, as a 1x1 matrix.
 

@@ -145,8 +145,27 @@ def _op_cases(rng: np.random.Generator) -> list[CheckCase]:
                             rng.standard_normal((4, 5))), 1e-5),
         CheckCase("nuclear_norm", [_separated_singular_matrix(rng)],
                   lambda t, l: ad.nuclear_norm(l[0]), 1e-4),
+        _triplet_hinge_case(rng),
     ]
     return cases
+
+
+def _triplet_hinge_case(rng: np.random.Generator) -> CheckCase:
+    """Hinge sum on a positive 7x7 matrix, every hinge argument off its kink."""
+    labels = np.array([0, 0, 1, 1, 2, 2, 3])
+    margin = 0.7
+    same = labels[:, None] == labels[None, :]
+    pos = same & ~np.eye(7, dtype=bool)
+    for attempt in range(500):
+        d = np.random.default_rng([int(rng.integers(2 ** 32)), attempt]).uniform(0.2, 2.0, (7, 7))
+        expr = np.concatenate([(d[i, pos[i]][:, None] - d[i, ~same[i]][None, :]).ravel()
+                               for i in range(7)]) + margin
+        if np.abs(expr).min() >= 0.1 and (expr > 0).sum() >= 2:
+            break
+    else:
+        raise NumericalError("triplet_hinge gradcheck: no kink-free instance found")
+    return CheckCase("triplet_hinge", [d],
+                     lambda t, l: ad.triplet_hinge(l[0], labels, margin), 1e-6)
 
 
 def _l_cls_case(rng: np.random.Generator) -> CheckCase:

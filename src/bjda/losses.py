@@ -188,7 +188,9 @@ def l_trip(g: Value, labels: np.ndarray, margin: float) -> tuple[Value, int]:
 
     For anchor i, every same-class j != i is a positive and every other-class
     k is a negative, each triple contributing
-    max{ Dist(g_i, g_j) - Dist(g_i, g_k) + margin, 0 }. A batch with fewer
+    max{ Dist(g_i, g_j) - Dist(g_i, g_k) + margin, 0 }. The loss is the sum
+    over all valid triples, not a per-row mean like l_dmc, so its weight
+    against the mean cross-entropy grows with the batch. A batch with fewer
     than two classes contributes 0; the second return flags that case.
     """
     margin = float(margin)
@@ -198,30 +200,10 @@ def l_trip(g: Value, labels: np.ndarray, margin: float) -> tuple[Value, int]:
     labels = np.asarray(labels)
     if labels.shape[0] != n:
         raise DimensionError(f"l_trip: got {n} feature rows for {labels.shape[0]} labels")
-    tape = g.tape
     if np.unique(labels).size < 2:
-        return tape.leaf(np.zeros((1, 1)), "l_trip_zero"), 1
-
+        return g.tape.leaf(np.zeros((1, 1)), "l_trip_zero"), 1
     dist = ad.pairwise_sqdist(g, g).sqrt()
-    same = labels[:, None] == labels[None, :]
-    ones_col = tape.leaf(np.ones((n, 1)), "ones_col")
-    total = tape.leaf(np.zeros((1, 1)), "l_trip_total")
-    for i in range(n):
-        pos = same[i].copy()
-        pos[i] = False
-        neg = ~same[i]
-        if not pos.any() or not neg.any():
-            continue
-        sel = np.zeros((1, n))
-        sel[0, i] = 1.0
-        row = tape.leaf(sel, "anchor") @ dist             # 1 x n distances from anchor
-        p_col = (row * tape.leaf(pos.reshape(1, n) * 1.0, "pos")).T
-        n_row = row * tape.leaf(neg.reshape(1, n) * 1.0, "neg")
-        # diff[j, k] = d(i, j) - d(i, k) over the full batch, masked below
-        diff = p_col @ ones_col.T - ones_col @ n_row
-        pair_mask = tape.leaf(np.outer(pos, neg) * 1.0, "pairs")
-        total = total + (ad.clamp_min(diff + margin, 0.0) * pair_mask).sum()
-    return total, 0
+    return ad.triplet_hinge(dist, labels, margin), 0
 
 
 def total_objective(cls_term: Value, da_term: Value | None, con_term: Value | None,

@@ -1,6 +1,8 @@
 """Tape mechanics and per-op checks for the reverse-mode engine."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bjda import autodiff as ad
 from bjda.autodiff import Tape, as_matrix
@@ -331,3 +333,105 @@ def test_gradient_matches_finite_differences(name, build):
 
     numeric = central_difference(scalarized(build), x)
     assert max_rel_error(v.grad, numeric) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# triplet_hinge against a plain triple loop
+
+
+def triplet_reference(d, labels, margin):
+    """Hinge sum and active-count matrix, one (i, j, k) triple at a time."""
+    n = d.shape[0]
+    value = 0.0
+    counts = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if j == i or labels[j] != labels[i]:
+                continue
+            for k in range(n):
+                if labels[k] == labels[i]:
+                    continue
+                expr = (d[i, j] - d[i, k]) + margin
+                if expr > 0.0:
+                    value += expr
+                    counts[i, j] += 1.0
+                    counts[i, k] -= 1.0
+    return value, counts
+
+
+def distances(points):
+    diff = points[:, None, :] - points[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def check_triplet_hinge(d, labels, margin):
+    ref_value, ref_counts = triplet_reference(d, labels, margin)
+    tape = Tape()
+    leaf = tape.leaf(d)
+    out = ad.triplet_hinge(leaf, labels, margin)
+    tape.backward(out)
+    assert abs(out.item() - ref_value) <= 1e-12 * abs(ref_value)
+    assert np.array_equal(leaf.grad, ref_counts)
+
+
+@pytest.mark.parametrize("classes", [2, 3, 4])
+@pytest.mark.parametrize("margin", [0.0, 0.5, 1.0])
+def test_triplet_hinge_matches_triple_loop(classes, margin):
+    rng = np.random.default_rng([classes, int(10 * margin)])
+    for trial in range(10):
+        n = int(rng.integers(4, 20))
+        labels = rng.integers(0, classes, size=n)
+        points = rng.normal(size=(n, 3))
+        if trial % 2:
+            points = np.round(points)   # tied distances, coincident points
+        check_triplet_hinge(distances(points), labels, margin)
+
+
+def test_triplet_hinge_edge_batches():
+    # class 2 has a single member: its anchor has no positive
+    check_triplet_hinge(distances(np.array([[0.0, 0], [1, 0], [2, 0], [0, 2]])),
+                        np.array([0, 0, 1, 2]), 1.0)
+    # all points coincide: every hinge argument equals the margin
+    check_triplet_hinge(np.zeros((5, 5)), np.array([0, 0, 1, 1, 2]), 0.0)
+    check_triplet_hinge(np.zeros((5, 5)), np.array([0, 0, 1, 1, 2]), 0.5)
+    # one class only: no negatives, so nothing is active
+    check_triplet_hinge(distances(np.arange(6.0).reshape(3, 2)), np.zeros(3, int), 1.0)
+
+
+def test_triplet_hinge_scales_counts_by_the_upstream_gradient():
+    d = distances(np.random.default_rng(5).normal(size=(8, 2)))
+    labels = np.array([0, 1, 2, 0, 1, 2, 0, 1])
+    _, counts = triplet_reference(d, labels, 1.0)
+    tape = Tape()
+    leaf = tape.leaf(d)
+    tape.backward(ad.scale(ad.triplet_hinge(leaf, labels, 1.0), 0.3))
+    assert np.array_equal(leaf.grad, 0.3 * counts)
+
+
+def test_triplet_hinge_records_one_node_and_checks_shapes():
+    tape = Tape()
+    leaf = tape.leaf(np.zeros((3, 3)))
+    ad.triplet_hinge(leaf, np.array([0, 1, 1]), 1.0)
+    assert len(tape) == 2
+    with pytest.raises(DimensionError):
+        ad.triplet_hinge(leaf, np.array([0, 1]), 1.0)
+    with pytest.raises(DimensionError):
+        ad.triplet_hinge(tape.leaf(np.zeros((3, 2))), np.array([0, 1, 1]), 1.0)
+
+
+@st.composite
+def triplet_batches(draw):
+    n = draw(st.integers(2, 12))
+    labels = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    coords = draw(st.lists(st.integers(-3, 3), min_size=2 * n, max_size=2 * n))
+    points = np.array(coords, dtype=np.float64).reshape(n, 2)
+    if draw(st.booleans()):
+        points = points * draw(st.floats(0.1, 2.0))
+    margin = draw(st.sampled_from([0.0, 0.25, 1.0, 2.5]))
+    return distances(points), labels, margin
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(triplet_batches())
+def test_triplet_hinge_property_matches_triple_loop(batch):
+    check_triplet_hinge(*batch)

@@ -1,4 +1,5 @@
 """End-to-end command-line behavior: artifacts, literals, exit codes."""
+import importlib
 import json
 import re
 
@@ -7,7 +8,7 @@ import pytest
 
 from bjda.cli import emit_config, main, parse_config
 from bjda.data import SynthSpec, gen_rotated_blobs, save_csv
-from bjda.errors import ConfigError
+from bjda.errors import ConfigError, NumericalError
 from bjda.gradcheck import CheckCase
 from bjda.kernels import KernelSpec
 from bjda.model import load_checkpoint
@@ -190,8 +191,8 @@ def test_distance_ot_unequal_sizes_exits_2(tmp_path, capsys):
 def test_gradcheck_passes_and_lists_every_case(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
-    assert "all 24 gradient checks passed" in out
-    for name in ("nuclear_norm", "l_dmc", "end_to_end"):
+    assert "all 25 gradient checks passed" in out
+    for name in ("nuclear_norm", "triplet_hinge", "l_dmc", "end_to_end"):
         assert re.search(rf"^{name}\s+max rel err", out, re.M)
 
 
@@ -229,6 +230,38 @@ def test_suite_writes_results_and_summary(data_dir, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert re.search(r"source_only: mean accuracy \d\.\d{4} \(std \d\.\d{4}\)",
                      stdout)
+
+
+def test_suite_failed_cells_in_results_stderr_and_summary(data_dir, tmp_path,
+                                                         capsys, monkeypatch):
+    # wd fails on every seed (unequal batches); source_only fails on seed 1 only
+    train_module = importlib.import_module("bjda.train")
+    real_train = train_module.train
+
+    def flaky(source, target, cfg):
+        if cfg.variant == "source_only" and cfg.seed == 1:
+            raise NumericalError("injected failure")
+        return real_train(source, target, cfg)
+
+    monkeypatch.setattr(train_module, "train", flaky)
+    out = tmp_path / "sweep"
+    fast = [a.replace("batch_target=12", "batch_target=10") for a in FAST]
+    code = main(["suite", "--source", str(data_dir / "source.csv"),
+                 "--target", str(data_dir / "target.csv"),
+                 "--variants", "wd,source_only", "--seeds", "0,1",
+                 "--out", str(out)] + fast)
+    assert code == 0
+    rows = [r.split(",") for r in (out / "results.csv").read_text().splitlines()]
+    assert rows[0] == ["variant", "seed", "accuracy"]
+    assert [r[2] for r in rows[1:3] + rows[4:]] == ["failed"] * 3
+    ok_acc = rows[3][2]
+    assert rows[3][:2] == ["source_only", "0"] and float(ok_acc) >= 0.0
+    err = capsys.readouterr().err
+    assert "cell (wd, 0) failed: ConfigError:" in err
+    assert "cell (source_only, 1) failed: NumericalError: injected failure" in err
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert summary[1] == "wd,nan,nan"
+    assert summary[2] == f"source_only,{ok_acc},0"
 
 
 def test_suite_rejects_malformed_seeds(data_dir, tmp_path, capsys):

@@ -386,6 +386,18 @@ def test_trip_is_always_nonnegative():
         assert value >= 0.0
 
 
+def test_trip_records_a_fixed_number_of_tape_nodes():
+    # distances, their square roots and one hinge node, whatever the batch
+    added = []
+    for n in (6, 128):
+        tape = Tape()
+        g = tape.leaf(np.random.default_rng(n).normal(size=(n, 4)), "g")
+        before = len(tape)
+        l_trip(g, np.arange(n) % 4, 1.0)
+        added.append(len(tape) - before)
+    assert added == [3, 3]
+
+
 def test_trip_rejects_negative_margin_and_bad_shapes():
     tape = Tape()
     g = tape.leaf(np.zeros((2, 2)), "g")

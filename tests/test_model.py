@@ -185,6 +185,7 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
 
 
 def test_checkpoint_header_layout(tmp_path):
+    # as documented in the README: magic, <5I (version, dims), 24 bytes in all
     params = init_xavier(DIMS, 0)
     path = tmp_path / "model.bin"
     save_checkpoint(params, path)
