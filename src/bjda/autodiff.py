@@ -5,6 +5,14 @@ gradient with ones and replays the stored adjoint rules in exact reverse
 creation order, accumulating into each Value's grad. There is no graph
 pruning and no topological sort: reverse tape order is already a valid
 evaluation order, and it keeps replays bitwise deterministic.
+
+backward consumes its tape. Once the reverse pass ends, every node drops its
+adjoint rule and parents and the tape drops its node list, so no reference
+cycle is left and the tape is freed by reference counting as soon as the
+caller lets go of it; values and grads stay readable. A second backward on
+the same tape raises InputError. Inference needs no tape at all: the
+array-level helpers (leaky_relu_array, softmax_rows_array) are the forward
+rules the tape ops use, so a plain-array forward pass gives the same bits.
 """
 from __future__ import annotations
 
@@ -113,6 +121,7 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[Value] = []
+        self._consumed = False
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -130,13 +139,27 @@ class Tape:
         return node
 
     def backward(self, root: Value) -> None:
-        """Seed root.grad with ones and run adjoints in reverse creation order."""
+        """Seed root.grad with ones and run adjoints in reverse creation order.
+
+        Consumes the tape: afterwards every node has lost its adjoint rule and
+        parents, the tape holds no nodes, and a second call raises InputError.
+        """
         if root.tape is not self:
             raise InputError("backward: root value belongs to a different tape")
+        if self._consumed:
+            raise InputError("backward: this tape was already consumed by an earlier backward")
+        self._consumed = True
         root.grad = root.grad + np.ones_like(root.value)
-        for node in reversed(self._nodes):
-            if node._backward is not None and node.grad.any():
-                node._backward()
+        try:
+            for node in reversed(self._nodes):
+                if node._backward is not None and node.grad.any():
+                    node._backward()
+        finally:
+            # each adjoint closure holds its own node, and the tape holds them all
+            for node in self._nodes:
+                node._backward = None
+                node._parents = ()
+            self._nodes = []
 
 
 def _join(a: Value, b: Value) -> Tape:
@@ -286,10 +309,15 @@ def clamp_min(a: Value, floor: float) -> Value:
     return out
 
 
+def leaky_relu_array(x: np.ndarray, slope: float = 0.01) -> np.ndarray:
+    """x for x > 0, slope * x otherwise, on a plain array."""
+    return np.where(x > 0.0, x, float(slope) * x)
+
+
 def leaky_relu(a: Value, slope: float = 0.01) -> Value:
     """x for x > 0, slope * x otherwise."""
     slope = float(slope)
-    out = a.tape._record(np.where(a.value > 0.0, a.value, slope * a.value), (a,), None)
+    out = a.tape._record(leaky_relu_array(a.value, slope), (a,), None)
 
     def backward():
         a.grad += out.grad * np.where(a.value > 0.0, 1.0, slope)
@@ -298,11 +326,15 @@ def leaky_relu(a: Value, slope: float = 0.01) -> Value:
     return out
 
 
+def softmax_rows_array(x: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a plain array, with the usual max-shift for stability."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def softmax_rows(a: Value) -> Value:
     """Row-wise softmax, computed with the usual max-shift for stability."""
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = softmax_rows_array(a.value)
     out = a.tape._record(s, (a,), None)
 
     def backward():

@@ -26,7 +26,7 @@ from .gradcheck import run_all
 from .kernels import (KERNEL_KINDS, KernelSpec, closed_form_bures,
                       exact_wasserstein_sq, kbw_sq)
 from .model import save_checkpoint
-from .train import VARIANTS, TrainConfig, evaluate, run_suite, train
+from .train import VARIANTS, TrainConfig, run_suite, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -157,11 +157,14 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.jsonl").write_text(metrics.to_jsonl())
     save_checkpoint(params, out / "model.bin")
-    final_acc = None
-    if np.any(target.labels >= 0):
-        final_acc = evaluate(params, target, cfg.leaky_slope).accuracy
+    # train evaluated the final parameters whenever the target has labels
+    final_acc = metrics.records[-1].target_acc
     summary = {
         "final_target_accuracy": final_acc,
+        "proto_skips": metrics.proto_skips,
+        "label_term_skips": metrics.label_term_skips,
+        "dmc_target_skips": metrics.dmc_target_skips,
+        "trip_degenerate": metrics.trip_degenerate,
         "config": {line.split(" = ")[0]: line.split(" = ", 1)[1]
                    for line in emit_config(cfg).splitlines()},
         "wall_clock_seconds": wall,

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Value
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, DimensionError, NumericalError, ParseError
 
 CHECKPOINT_MAGIC = b"BJDA"
 CHECKPOINT_VERSION = 1
@@ -102,11 +102,25 @@ def forward_f(leaves: dict[str, Value], g: Value) -> Value:
 
 
 def predict_probs(params: ModelParams, x: np.ndarray, slope: float = 0.01) -> np.ndarray:
-    """Inference-only forward pass on a throwaway tape."""
-    tape = Tape()
-    leaves = make_leaves(tape, params)
-    probs = forward_f(leaves, forward_g(leaves, tape.leaf(x, "x"), slope))
-    return probs.value
+    """Inference-only forward pass on plain arrays: no tape, no grad buffers.
+
+    Runs the arithmetic of forward_g and forward_f op for op, so the result
+    equals the tape's forward bit for bit. x gets the checks a tape leaf
+    gives it; a non-finite parameter raises NumericalError naming it.
+    """
+    x = ad.as_matrix(x, "x")
+    t = params.tensors
+    if x.shape[1] != t["w1"].shape[0]:
+        raise DimensionError(f"predict_probs: x has {x.shape[1]} columns, "
+                             f"the model takes {t['w1'].shape[0]}")
+    for name in PARAM_NAMES:
+        if not np.all(np.isfinite(t[name])):
+            i, j = np.argwhere(~np.isfinite(t[name]))[0]
+            raise NumericalError(f"predict_probs: parameter {name} has a non-finite "
+                                 f"entry at ({i}, {j})")
+    h = ad.leaky_relu_array(x @ t["w1"] + t["b1"], slope)
+    g = h @ t["w2"] + t["b2"]
+    return ad.softmax_rows_array(g @ t["wc"] + t["bc"])
 
 
 def hard_pseudo_labels(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -316,6 +316,10 @@ def train(source: Dataset, target: Dataset,
     return params, metrics
 
 
+def _no_labels(data: Dataset) -> InputError:
+    return InputError(f"evaluate: dataset {data.name!r} has no labeled rows")
+
+
 def evaluate(params: ModelParams, data: Dataset, leaky_slope: float = 0.01,
              chunk: int = 1024) -> EvalResult:
     """Accuracy over the labeled rows; unlabeled rows are excluded and counted."""
@@ -326,7 +330,7 @@ def evaluate(params: ModelParams, data: Dataset, leaky_slope: float = 0.01,
     labeled = data.labels >= 0
     n_unlabeled = int((~labeled).sum())
     if not labeled.any():
-        raise InputError(f"evaluate: dataset {data.name!r} has no labeled rows")
+        raise _no_labels(data)
     hits = preds[labeled] == data.labels[labeled]
     per_class = {}
     for c in np.unique(data.labels[labeled]):
@@ -372,8 +376,11 @@ class SuiteResult:
 
 def _run_cell(source: Dataset, target: Dataset, cfg: TrainConfig) -> SuiteCell:
     try:
-        params, _ = train(source, target, cfg)
-        acc = evaluate(params, target, cfg.leaky_slope).accuracy
+        _, metrics = train(source, target, cfg)
+        # train evaluated the final parameters whenever the target has labels
+        acc = metrics.records[-1].target_acc
+        if acc is None:
+            raise _no_labels(target)
         return SuiteCell(cfg.variant, cfg.seed, acc)
     except Exception as err:  # keep the sweep alive; the cell records why
         return SuiteCell(cfg.variant, cfg.seed, None, f"{type(err).__name__}: {err}")

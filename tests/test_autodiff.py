@@ -1,4 +1,7 @@
 """Tape mechanics and per-op checks for the reverse-mode engine."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,8 @@ from bjda import autodiff as ad
 from bjda.autodiff import Tape, as_matrix
 from bjda.errors import DimensionError, DomainError, InputError
 from bjda.fdcheck import central_difference, max_rel_error
+from bjda.losses import l_cls
+from bjda.model import ModelDims, forward_f, forward_g, init_xavier, make_leaves
 
 
 def leafpair(a, b):
@@ -66,6 +71,49 @@ def test_backward_root_must_live_on_the_tape():
     root = t1.leaf(np.ones((1, 1)))
     with pytest.raises(InputError):
         t2.backward(root)
+
+
+# ---------------------------------------------------------------------------
+# backward consumes its tape
+
+
+def test_backward_keeps_leaf_grads_and_empties_the_tape():
+    tape, a, b = leafpair([[1.0, 2.0], [3.0, 4.0]], [[0.5, -1.0], [2.0, 0.0]])
+    out = (a @ b).sum()
+    tape.backward(out)
+    assert len(tape) == 0
+    assert np.array_equal(a.grad, np.ones((2, 2)) @ b.value.T)
+    assert np.array_equal(b.grad, a.value.T @ np.ones((2, 2)))
+    assert out.item() == float((a.value @ b.value).sum())
+
+
+def test_second_backward_on_a_tape_raises():
+    tape, a, b = leafpair(np.ones((2, 2)), np.ones((2, 2)))
+    out = (a * b).sum()
+    tape.backward(out)
+    with pytest.raises(InputError, match="already consumed"):
+        tape.backward(out)
+    assert np.array_equal(a.grad, np.ones((2, 2)))  # the first pass's grads stay
+
+
+def test_a_model_tape_is_freed_without_the_cyclic_collector():
+    params = init_xavier(ModelDims(3, hidden=4, feat=5, classes=2), 0)
+    x = np.random.default_rng(0).normal(size=(6, 3))
+    y = np.eye(2)[[0, 1, 0, 1, 0, 1]]
+    gc.collect()
+    gc.disable()
+    try:
+        tape = Tape()
+        leaves = make_leaves(tape, params)
+        loss = l_cls(forward_f(leaves, forward_g(leaves, tape.leaf(x, "x"))), y)
+        tape.backward(loss)
+        grad = leaves["w1"].grad
+        alive = weakref.ref(tape)
+        del tape, leaves, loss
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert grad.shape == (3, 4) and grad.any()
 
 
 # ---------------------------------------------------------------------------

@@ -74,9 +74,11 @@ def test_train_writes_all_artifacts(data_dir, tmp_path, capsys):
     assert params.dims.classes == 3
 
     summary = json.loads((out / "summary.json").read_text())
-    assert set(summary) == {"final_target_accuracy", "config",
+    assert set(summary) == {"final_target_accuracy", "proto_skips", "label_term_skips",
+                            "dmc_target_skips", "trip_degenerate", "config",
                             "wall_clock_seconds"}
     assert 0.0 <= summary["final_target_accuracy"] <= 1.0
+    assert summary["final_target_accuracy"] == json.loads(lines[-1])["target_acc"]
     assert summary["config"]["variant"] == "full"
     assert summary["config"]["t_max"] == "6"
     assert summary["wall_clock_seconds"] > 0.0
@@ -109,6 +111,21 @@ def test_train_unlabeled_target_reports_no_accuracy(data_dir, tmp_path, capsys):
     assert summary["final_target_accuracy"] is None
     assert all(json.loads(line)["target_acc"] is None
                for line in (out / "metrics.jsonl").read_text().splitlines())
+
+
+def test_summary_carries_the_skip_counters(data_dir, tmp_path):
+    # a confidence gate nothing clears skips the label term and the target
+    # margin rows on every iteration
+    out = tmp_path / "run"
+    assert main(["train", "--source", str(data_dir / "source.csv"),
+                 "--target", str(data_dir / "target.csv"), "--out", str(out),
+                 "--set", "pl=true", "--set", "confidence_threshold=0.999999"]
+                + FAST) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["label_term_skips"] == 6
+    assert summary["dmc_target_skips"] == 6
+    assert isinstance(summary["proto_skips"], int)
+    assert summary["trip_degenerate"] == 0
 
 
 # ---------------------------------------------------------------- exit codes

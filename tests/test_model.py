@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bjda.autodiff import Tape
-from bjda.errors import ConfigError, ParseError
+from bjda.errors import ConfigError, DimensionError, InputError, NumericalError, ParseError
 from bjda.model import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -142,12 +142,35 @@ def test_forward_f_zero_logits_give_uniform_rows():
 
 
 def test_predict_probs_matches_tape_forward():
-    params = init_xavier(DIMS, 11)
-    x = np.random.default_rng(11).normal(size=(4, 3))
-    tape = Tape()
-    leaves = make_leaves(tape, params)
-    on_tape = forward_f(leaves, forward_g(leaves, tape.leaf(x, "x"))).value
-    assert np.array_equal(predict_probs(params, x), on_tape)
+    wide = ModelDims(16, hidden=64, feat=32, classes=4)
+    for dims, rows in ((DIMS, 4), (wide, 1024)):
+        params = init_xavier(dims, 11)
+        x = np.random.default_rng(11).normal(size=(rows, dims.input_dim))
+        tape = Tape()
+        leaves = make_leaves(tape, params)
+        on_tape = forward_f(leaves, forward_g(leaves, tape.leaf(x, "x"))).value
+        assert np.array_equal(predict_probs(params, x), on_tape)
+
+
+def test_predict_probs_rejects_x_that_is_not_a_matrix_of_the_input_width():
+    params = init_xavier(DIMS, 0)
+    for bad in (np.zeros((2, 2, 3)), np.float64(1.0), np.zeros((2, 4))):
+        with pytest.raises(DimensionError):
+            predict_probs(params, bad)
+
+
+def test_predict_probs_rejects_non_finite_x():
+    x = np.zeros((3, 3))
+    x[2, 1] = np.inf
+    with pytest.raises(InputError, match=r"x: non-finite entry at \(2, 1\)"):
+        predict_probs(init_xavier(DIMS, 0), x)
+
+
+def test_predict_probs_names_a_non_finite_parameter():
+    params = init_xavier(DIMS, 0)
+    params.tensors["w2"][1, 3] = np.nan
+    with pytest.raises(NumericalError, match=r"parameter w2 .*\(1, 3\)"):
+        predict_probs(params, np.zeros((3, 3)))
 
 
 # ---------------------------------------------------------------- labels

@@ -300,9 +300,10 @@ def test_evaluate_chunking_does_not_change_predictions():
     source, _ = small_pair()
     params = init_xavier_params()
     whole = evaluate(params, source, chunk=1024)
-    pieces = evaluate(params, source, chunk=7)
-    assert np.array_equal(whole.predictions, pieces.predictions)
-    assert whole.accuracy == pieces.accuracy
+    for chunk in (1, 7, len(source) - 1, len(source)):
+        pieces = evaluate(params, source, chunk=chunk)
+        assert np.array_equal(whole.predictions, pieces.predictions)
+        assert whole.accuracy == pieces.accuracy
 
 
 # ---------------------------------------------------------------- suite
@@ -342,6 +343,27 @@ def test_suite_isolates_failing_cells():
     assert src_cell.error is None and src_cell.accuracy is not None
     summary = dict((v, (m, s)) for v, m, s in result.summary())
     assert math.isnan(summary["wd"][0])
+
+
+def test_suite_cell_on_an_unlabeled_target_fails_with_the_evaluate_error():
+    from dataclasses import replace
+    source, target = small_pair()
+    hidden = Dataset(target.features, np.full(len(target), -1), 3, name="hidden")
+    result = run_suite(source, hidden, replace(BASE, t_max=3),
+                       variants=("source_only",), seeds=(0,))
+    (cell,) = result.cells
+    assert cell.accuracy is None
+    assert cell.error == "InputError: evaluate: dataset 'hidden' has no labeled rows"
+
+
+def test_suite_cell_accuracy_is_the_final_evaluation():
+    from dataclasses import replace
+    source, target = small_pair()
+    cfg = replace(BASE, t_max=7, variant="no_da", seed=2)
+    params, metrics = train(source, target, cfg)
+    (cell,) = run_suite(source, target, cfg, variants=("no_da",), seeds=(2,)).cells
+    assert cell.accuracy == metrics.records[-1].target_acc
+    assert cell.accuracy == evaluate(params, target, cfg.leaky_slope).accuracy
 
 
 def test_suite_rejects_unknown_variants():
