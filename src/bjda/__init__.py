@@ -11,13 +11,13 @@ from .data import Dataset, SynthSpec, gen_rotated_blobs, load_csv, save_csv
 from .kernels import (KernelSpec, centering, closed_form_bures,
                       exact_wasserstein_sq, gaussian_bandwidth, kbw_sq,
                       kernel_matrix)
-from .losses import (LossBreakdown, Prototypes, entropy_margins, l_cls, l_da,
-                     l_dmc, l_trip, one_hot, total_objective)
+from .losses import (LossBreakdown, Prototypes, entropy_margins, l_cls, l_dmc,
+                     l_trip, one_hot, total_objective)
 from .model import (ModelDims, ModelParams, forward_f, forward_g,
                     hard_pseudo_labels, init_xavier, load_checkpoint,
                     make_leaves, predict_probs, save_checkpoint)
 from .train import (EvalResult, RunMetrics, SuiteResult, TrainConfig,
-                    evaluate, run_suite, sgd_update, train)
+                    evaluate, l_da, run_suite, sgd_update, train)
 
 __version__ = "0.1.0"
 

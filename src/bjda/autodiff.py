@@ -7,12 +7,12 @@ pruning and no topological sort: reverse tape order is already a valid
 evaluation order, and it keeps replays bitwise deterministic.
 
 backward consumes its tape. Once the reverse pass ends, every node drops its
-adjoint rule and parents and the tape drops its node list, so no reference
-cycle is left and the tape is freed by reference counting as soon as the
-caller lets go of it; values and grads stay readable. A second backward on
-the same tape raises InputError. Inference needs no tape at all: the
-array-level helpers (leaky_relu_array, softmax_rows_array) are the forward
-rules the tape ops use, so a plain-array forward pass gives the same bits.
+adjoint rule and the tape drops its node list, so no reference cycle is left
+and the tape is freed by reference counting as soon as the caller lets go of
+it; values and grads stay readable. A second backward on the same tape
+raises InputError. Inference needs no tape at all: the array-level helpers
+(leaky_relu_array, softmax_rows_array) are the forward rules the tape ops
+use, so a plain-array forward pass gives the same bits.
 """
 from __future__ import annotations
 
@@ -43,16 +43,14 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 class Value:
     """One tape node: a matrix, its gradient accumulator, and its adjoint rule."""
 
-    __slots__ = ("value", "grad", "tape", "_parents", "_backward")
+    __slots__ = ("value", "grad", "tape", "_backward")
 
-    def __init__(self, value: np.ndarray, tape: "Tape",
-                 parents: tuple = (),
-                 backward: Callable[[], None] | None = None):
+    def __init__(self, value: np.ndarray, tape: "Tape"):
         self.value = value
         self.grad = np.zeros_like(value)
         self.tape = tape
-        self._parents = parents
-        self._backward = backward
+        # the op that records this node sets it; its closure holds the operands
+        self._backward: Callable[[], None] | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -132,17 +130,16 @@ class Tape:
         self._nodes.append(node)
         return node
 
-    def _record(self, value: np.ndarray, parents: tuple,
-                backward: Callable[[], None] | None) -> Value:
-        node = Value(value, self, parents, backward)
+    def _record(self, value: np.ndarray) -> Value:
+        node = Value(value, self)
         self._nodes.append(node)
         return node
 
     def backward(self, root: Value) -> None:
         """Seed root.grad with ones and run adjoints in reverse creation order.
 
-        Consumes the tape: afterwards every node has lost its adjoint rule and
-        parents, the tape holds no nodes, and a second call raises InputError.
+        Consumes the tape: afterwards every node has lost its adjoint rule, the
+        tape holds no nodes, and a second call raises InputError.
         """
         if root.tape is not self:
             raise InputError("backward: root value belongs to a different tape")
@@ -158,7 +155,6 @@ class Tape:
             # each adjoint closure holds its own node, and the tape holds them all
             for node in self._nodes:
                 node._backward = None
-                node._parents = ()
             self._nodes = []
 
 
@@ -177,7 +173,7 @@ def matmul(a: Value, b: Value) -> Value:
     tape = _join(a, b)
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    out = tape._record(a.value @ b.value, (a, b), None)
+    out = tape._record(a.value @ b.value)
 
     def backward():
         a.grad += out.grad @ b.value.T
@@ -195,7 +191,7 @@ def _require_same_shape(op: str, a: Value, b: Value) -> None:
 def add(a: Value, b: Value) -> Value:
     tape = _join(a, b)
     _require_same_shape("add", a, b)
-    out = tape._record(a.value + b.value, (a, b), None)
+    out = tape._record(a.value + b.value)
 
     def backward():
         a.grad += out.grad
@@ -208,7 +204,7 @@ def add(a: Value, b: Value) -> Value:
 def sub(a: Value, b: Value) -> Value:
     tape = _join(a, b)
     _require_same_shape("sub", a, b)
-    out = tape._record(a.value - b.value, (a, b), None)
+    out = tape._record(a.value - b.value)
 
     def backward():
         a.grad += out.grad
@@ -221,7 +217,7 @@ def sub(a: Value, b: Value) -> Value:
 def scale(a: Value, s: float) -> Value:
     """Multiply every entry by the constant s."""
     s = float(s)
-    out = a.tape._record(a.value * s, (a,), None)
+    out = a.tape._record(a.value * s)
 
     def backward():
         a.grad += out.grad * s
@@ -233,7 +229,7 @@ def scale(a: Value, s: float) -> Value:
 def add_scalar(a: Value, c: float) -> Value:
     """Add the constant c to every entry."""
     c = float(c)
-    out = a.tape._record(a.value + c, (a,), None)
+    out = a.tape._record(a.value + c)
 
     def backward():
         a.grad += out.grad
@@ -246,7 +242,7 @@ def hadamard(a: Value, b: Value) -> Value:
     """Elementwise product."""
     tape = _join(a, b)
     _require_same_shape("hadamard", a, b)
-    out = tape._record(a.value * b.value, (a, b), None)
+    out = tape._record(a.value * b.value)
 
     def backward():
         a.grad += out.grad * b.value
@@ -257,7 +253,7 @@ def hadamard(a: Value, b: Value) -> Value:
 
 
 def exp(a: Value) -> Value:
-    out = a.tape._record(np.exp(a.value), (a,), None)
+    out = a.tape._record(np.exp(a.value))
 
     def backward():
         a.grad += out.grad * out.value
@@ -271,7 +267,7 @@ def log(a: Value) -> Value:
     if a.value.size and np.min(a.value) <= 0.0:
         i, j = np.argwhere(a.value <= 0.0)[0]
         raise DomainError(f"log: nonpositive entry {a.value[i, j]!r} at ({i}, {j})")
-    out = a.tape._record(np.log(a.value), (a,), None)
+    out = a.tape._record(np.log(a.value))
 
     def backward():
         a.grad += out.grad / a.value
@@ -286,7 +282,7 @@ def sqrt(a: Value) -> Value:
         i, j = np.argwhere(a.value < 0.0)[0]
         raise DomainError(f"sqrt: negative entry {a.value[i, j]!r} at ({i}, {j})")
     root = np.sqrt(a.value)
-    out = a.tape._record(root, (a,), None)
+    out = a.tape._record(root)
 
     def backward():
         with np.errstate(divide="ignore"):
@@ -300,7 +296,7 @@ def sqrt(a: Value) -> Value:
 def clamp_min(a: Value, floor: float) -> Value:
     """max(a, floor) elementwise; gradient passes only where a > floor."""
     floor = float(floor)
-    out = a.tape._record(np.maximum(a.value, floor), (a,), None)
+    out = a.tape._record(np.maximum(a.value, floor))
 
     def backward():
         a.grad += out.grad * (a.value > floor)
@@ -317,7 +313,7 @@ def leaky_relu_array(x: np.ndarray, slope: float = 0.01) -> np.ndarray:
 def leaky_relu(a: Value, slope: float = 0.01) -> Value:
     """x for x > 0, slope * x otherwise."""
     slope = float(slope)
-    out = a.tape._record(leaky_relu_array(a.value, slope), (a,), None)
+    out = a.tape._record(leaky_relu_array(a.value, slope))
 
     def backward():
         a.grad += out.grad * np.where(a.value > 0.0, 1.0, slope)
@@ -335,7 +331,7 @@ def softmax_rows_array(x: np.ndarray) -> np.ndarray:
 def softmax_rows(a: Value) -> Value:
     """Row-wise softmax, computed with the usual max-shift for stability."""
     s = softmax_rows_array(a.value)
-    out = a.tape._record(s, (a,), None)
+    out = a.tape._record(s)
 
     def backward():
         # ds_ij/da_ik = s_ij (delta_jk - s_ik)
@@ -348,7 +344,7 @@ def softmax_rows(a: Value) -> Value:
 
 def sum_all(a: Value) -> Value:
     """Sum of all entries, as a 1x1 matrix."""
-    out = a.tape._record(np.array([[a.value.sum()]]), (a,), None)
+    out = a.tape._record(np.array([[a.value.sum()]]))
 
     def backward():
         a.grad += out.grad[0, 0]
@@ -362,7 +358,7 @@ def trace(a: Value) -> Value:
     n, m = a.shape
     if n != m:
         raise DimensionError(f"trace: matrix must be square, got {a.shape}")
-    out = a.tape._record(np.array([[np.trace(a.value)]]), (a,), None)
+    out = a.tape._record(np.array([[np.trace(a.value)]]))
 
     def backward():
         a.grad += out.grad[0, 0] * np.eye(n)
@@ -372,7 +368,7 @@ def trace(a: Value) -> Value:
 
 
 def transpose(a: Value) -> Value:
-    out = a.tape._record(a.value.T.copy(), (a,), None)
+    out = a.tape._record(a.value.T.copy())
 
     def backward():
         a.grad += out.grad.T
@@ -386,7 +382,7 @@ def add_rowvec(a: Value, b: Value) -> Value:
     tape = _join(a, b)
     if b.shape[0] != 1 or b.shape[1] != a.shape[1]:
         raise DimensionError(f"add_rowvec: expected (1, {a.shape[1]}) row, got {b.shape}")
-    out = tape._record(a.value + b.value, (a, b), None)
+    out = tape._record(a.value + b.value)
 
     def backward():
         a.grad += out.grad
@@ -402,7 +398,7 @@ def vstack(a: Value, b: Value) -> Value:
     if a.shape[1] != b.shape[1]:
         raise DimensionError(f"vstack: column counts differ, {a.shape} vs {b.shape}")
     n = a.shape[0]
-    out = tape._record(np.vstack([a.value, b.value]), (a, b), None)
+    out = tape._record(np.vstack([a.value, b.value]))
 
     def backward():
         a.grad += out.grad[:n]
@@ -424,7 +420,7 @@ def pairwise_sqdist(a: Value, b: Value) -> Value:
     av, bv = a.value, b.value
     sq = (av * av).sum(axis=1, keepdims=True) + (bv * bv).sum(axis=1) - 2.0 * (av @ bv.T)
     np.maximum(sq, 0.0, out=sq)
-    out = tape._record(sq, (a, b), None)
+    out = tape._record(sq)
 
     def backward():
         g = out.grad
@@ -462,7 +458,7 @@ def triplet_hinge(d: Value, labels, margin: float) -> Value:
         total += expr[active].sum()
         counts[np.ix_(own, own)] = active.sum(axis=2)
         counts[np.ix_(own, other)] = -active.sum(axis=1)
-    out = d.tape._record(np.array([[total]]), (d,), None)
+    out = d.tape._record(np.array([[total]]))
 
     def backward():
         d.grad += out.grad[0, 0] * counts
@@ -484,7 +480,7 @@ def nuclear_norm(a: Value) -> Value:
         raise NumericalError(
             f"nuclear_norm: SVD failed to converge for {a.shape} matrix "
             f"within the LAPACK iteration limit ({err})") from err
-    out = a.tape._record(np.array([[s.sum()]]), (a,), None)
+    out = a.tape._record(np.array([[s.sum()]]))
 
     def backward():
         if s.size == 0 or s[0] <= 0.0:

@@ -2,8 +2,11 @@
 
 Each case builds a scalar from leaf inputs, runs one backward pass, and
 compares the accumulated leaf gradients against central differences of the
-same forward construction. Non-scalar op outputs are contracted against a
-fixed random weight matrix so the incoming adjoint is non-uniform.
+same forward construction. The central-difference oracle is independent of
+the tape's adjoint rules: it only calls the scalar forward, perturbing one
+input entry at a time. Non-scalar op outputs are contracted against a fixed
+random weight matrix so the incoming adjoint is non-uniform. The end-to-end
+case runs the trainer's own objective.
 
 Gaussian bandwidths are pinned inside the cases: the training losses treat
 the bandwidth (like the margin entropies, prototypes, and pseudo-labels) as
@@ -22,12 +25,44 @@ from . import autodiff as ad
 from . import losses as L
 from .autodiff import Tape, Value
 from .errors import NumericalError
-from .fdcheck import central_difference, max_rel_error
-from .kernels import KernelSpec, kbw_sq
-from .model import ModelDims, PARAM_NAMES, forward_f, forward_g, hard_pseudo_labels, init_xavier
+from .kernels import KernelSpec
+from .model import ModelDims, PARAM_NAMES, forward_f, forward_g, init_xavier
+from .train import RunMetrics, TrainConfig, batch_constants, l_da, objective
 
 OP_TOL = 1e-4        # blanket bound every op-level case must meet
 END_TO_END_TOL = 1e-3
+FD_STEP = 1e-4
+
+
+def central_difference(f: Callable[[np.ndarray], float], x0: np.ndarray,
+                       h: float = FD_STEP) -> np.ndarray:
+    """Numeric gradient of f at x0, entry by entry: (f(x+h) - f(x-h)) / (2h)."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    grad = np.zeros_like(x0)
+    it = np.nditer(x0, flags=["multi_index"])
+    for _ in it:
+        idx = it.multi_index
+        xp = x0.copy()
+        xm = x0.copy()
+        xp[idx] += h
+        xm[idx] -= h
+        grad[idx] = (f(xp) - f(xm)) / (2.0 * h)
+    return grad
+
+
+def max_rel_error(analytic: np.ndarray, numeric: np.ndarray,
+                  floor: float = 1e-8) -> float:
+    """Largest entrywise deviation, normalized by the numeric gradient scale.
+
+    A global scale (rather than per-entry) keeps near-zero entries from
+    inflating the ratio on otherwise well-conditioned inputs.
+    """
+    analytic = np.asarray(analytic, dtype=np.float64)
+    numeric = np.asarray(numeric, dtype=np.float64)
+    if analytic.size == 0:
+        return 0.0
+    denom = max(float(np.max(np.abs(numeric))), floor)
+    return float(np.max(np.abs(analytic - numeric))) / denom
 
 
 @dataclass
@@ -187,9 +222,23 @@ def _l_da_case(rng: np.random.Generator) -> CheckCase:
 
     def build(tape, leaves):
         y_t = ad.softmax_rows(leaves[2])
-        return L.l_da(leaves[0], y_s, leaves[1], y_t, spec)
+        return l_da(leaves[0], y_s, leaves[1], y_t, spec)
 
     return CheckCase("l_da", [g_s, g_t, t_logits], build, 1e-4)
+
+
+def _dmc_clearances(g: np.ndarray, labels: np.ndarray, protos: np.ndarray,
+                    alphas: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """How far an l_dmc instance sits from its kinks: the smallest
+    row-to-prototype distance (sqrt), the smallest gap between the two
+    nearest other-class prototypes (argmin tie), and every hinge argument."""
+    rows = np.arange(g.shape[0])
+    dist = np.sqrt(((g[:, None, :] - protos[None, :, :]) ** 2).sum(-1))
+    other = np.ones(dist.shape, dtype=bool)
+    other[rows, labels] = False
+    neg_sorted = np.sort(np.where(other, dist, np.inf), axis=1)
+    expr = dist[rows, labels] - neg_sorted[:, 0] + alphas
+    return dist.min(), (neg_sorted[:, 1] - neg_sorted[:, 0]).min(), expr
 
 
 def _l_dmc_case(rng: np.random.Generator) -> CheckCase:
@@ -206,18 +255,11 @@ def _l_dmc_case(rng: np.random.Generator) -> CheckCase:
 
     for attempt in range(500):
         g = np.random.default_rng([int(rng.integers(2 ** 32)), attempt]).normal(0.0, 1.2, (5, 2))
-        dist = np.sqrt(((g[:, None, :] - protos.vectors[None, :, :]) ** 2).sum(-1))
-        if dist.min() < 0.2:
-            continue
-        other = np.ones((5, 3), dtype=bool)
-        other[np.arange(5), labels] = False
-        neg_sorted = np.sort(np.where(other, dist, np.inf), axis=1)
-        if (neg_sorted[:, 1] - neg_sorted[:, 0]).min() < 0.1:
-            continue  # argmin near a tie
-        expr = dist[np.arange(5), labels] - neg_sorted[:, 0] + alphas
-        if np.abs(expr).min() < 0.1 or (expr > 0.1).sum() < 2:
-            continue  # hinge near its kink, or almost everything inactive
-        break
+        nearest, tie_gap, expr = _dmc_clearances(g, labels, protos.vectors, alphas)
+        # clear of every kink, and not almost everything inactive
+        if (nearest >= 0.2 and min(tie_gap, np.abs(expr).min()) >= 0.1
+                and (expr > 0.1).sum() >= 2):
+            break
     else:
         raise NumericalError("l_dmc gradcheck: no kink-free instance found")
 
@@ -259,17 +301,23 @@ def _l_trip_case(rng: np.random.Generator) -> CheckCase:
 
 
 def _end_to_end_case(rng: np.random.Generator) -> CheckCase:
-    """Whole objective (cls + 0.5 da + 0.3 dmc) against FD in every parameter.
+    """The trainer's objective (variant full, lambda1 0.5, lambda2 0.3)
+    against FD in every parameter.
 
     Pseudo-labels, margin entropies, and prototypes are frozen at the base
-    point, exactly as one trainer iteration treats them.
+    point by the trainer's own batch_constants, exactly as one iteration
+    treats them.
     """
     dims = ModelDims(4, 6, 5, 3)
-    spec = KernelSpec("gaussian", bandwidth_sq=2.0)
+    cfg = TrainConfig(kernel=KernelSpec("gaussian", bandwidth_sq=2.0))
     # two source rows per class: prototypes are then proper means, never
     # exactly equal to any single row (a zero distance sits on a sqrt kink)
     ys = np.array([0, 0, 1, 1, 2, 2])
-    y_s_1h = L.one_hot(ys, 3)
+
+    def forward(tape, leaves, xs, xt):
+        g_s = forward_g(leaves, tape.leaf(xs, "xs"))
+        g_t = forward_g(leaves, tape.leaf(xt, "xt"))
+        return g_s, g_t, forward_f(leaves, g_s), forward_f(leaves, g_t)
 
     for attempt in range(500):
         inst = np.random.default_rng([int(rng.integers(2 ** 32)), attempt])
@@ -277,56 +325,26 @@ def _end_to_end_case(rng: np.random.Generator) -> CheckCase:
         xs = inst.normal(0.0, 1.5, (6, 4))
         xt = inst.normal(0.0, 1.5, (4, 4))
 
-        tape = Tape()
-        leaves = {n: tape.leaf(params.tensors[n], n) for n in PARAM_NAMES}
-        g_s = forward_g(leaves, tape.leaf(xs, "xs"))
-        g_t = forward_g(leaves, tape.leaf(xt, "xt"))
-        probs_s = forward_f(leaves, g_s)
-        probs_t = forward_f(leaves, g_t)
-
         pre_s = xs @ params.tensors["w1"] + params.tensors["b1"]
         pre_t = xt @ params.tensors["w1"] + params.tensors["b1"]
         if min(np.abs(pre_s).min(), np.abs(pre_t).min()) < 0.02:
             continue  # leaky_relu kink too close
 
-        protos = L.Prototypes(3, 5)
-        protos.update(g_s.value, ys)
-        pseudo, _ = hard_pseudo_labels(probs_t.value)
-        labels_all = np.concatenate([ys, pseudo])
-        g_all = np.vstack([g_s.value, g_t.value])
-        probs_all = np.vstack([probs_s.value, probs_t.value])
-        alphas = L.entropy_margins(probs_all)
-
-        n_all = g_all.shape[0]
-        dist = np.sqrt(((g_all[:, None, :] - protos.vectors[None, :, :]) ** 2).sum(-1))
-        if dist.min() < 0.1:
-            continue
-        other = np.ones((n_all, 3), dtype=bool)
-        other[np.arange(n_all), labels_all] = False
-        neg_sorted = np.sort(np.where(other, dist, np.inf), axis=1)
-        if (neg_sorted[:, 1] - neg_sorted[:, 0]).min() < 0.05:
-            continue
-        expr = dist[np.arange(n_all), labels_all] - neg_sorted[:, 0] + alphas
-        if np.abs(expr).min() < 0.05:
-            continue
-        break
+        tape = Tape()
+        g_s, g_t, probs_s, probs_t = forward(
+            tape, {n: tape.leaf(params.tensors[n], n) for n in PARAM_NAMES}, xs, xt)
+        const = batch_constants(cfg, g_s, probs_s, probs_t, ys, L.Prototypes(3, 5))
+        nearest, tie_gap, expr = _dmc_clearances(
+            np.vstack([g_s.value, g_t.value]), const.margin_labels, const.protos.vectors,
+            L.entropy_margins(const.margin_probs))
+        if min(nearest, tie_gap, np.abs(expr).min()) >= 0.05:
+            break
     else:
         raise NumericalError("end-to-end gradcheck: no kink-free instance found")
 
-    frozen_probs = probs_all.copy()
-    frozen_labels = labels_all.copy()
-    frozen_protos = protos
-
     def build(tape, leaf_list):
-        leaves = dict(zip(PARAM_NAMES, leaf_list))
-        g_s = forward_g(leaves, tape.leaf(xs, "xs"))
-        g_t = forward_g(leaves, tape.leaf(xt, "xt"))
-        probs_s = forward_f(leaves, g_s)
-        probs_t = forward_f(leaves, g_t)
-        cls = L.l_cls(probs_s, y_s_1h)
-        da = L.l_da(g_s, y_s_1h, g_t, probs_t, spec)
-        dmc = L.l_dmc(ad.vstack(g_s, g_t), frozen_labels, frozen_probs, frozen_protos)[0]
-        return L.total_objective(cls, da, dmc, 0.5, 0.3)
+        outs = forward(tape, dict(zip(PARAM_NAMES, leaf_list)), xs, xt)
+        return objective(cfg, *outs, const, RunMetrics())[0]
 
     inputs = [params.tensors[n].copy() for n in PARAM_NAMES]
     return CheckCase("end_to_end", inputs, build, END_TO_END_TOL)

@@ -1,5 +1,7 @@
-"""Training losses: classification, joint alignment, and the two
-prototype/margin contrastive terms.
+"""Training losses: classification and the two prototype/margin contrastive
+terms, with the prototype state and the weighted total. The alignment terms
+(l_da and the wd transport loss) live in bjda.train, beside the objective
+that combines them with these.
 
 Everything here returns 1x1 tape Values so the trainer can combine terms and
 run one backward pass. Quantities the gradient must NOT flow through
@@ -13,9 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Value
+from .autodiff import Value
 from .errors import ConfigError, DimensionError, InputError
-from .kernels import KernelSpec, kbw_sq
 
 PROB_FLOOR = 1e-12
 PROTO_MODES = ("batch", "ema")
@@ -86,8 +87,6 @@ class LossBreakdown:
     l_da: float
     l_dmc: float
     total: float
-    lambda1: float
-    lambda2: float
 
 
 def l_cls(pred_probs: Value, y_onehot: np.ndarray) -> Value:
@@ -105,25 +104,6 @@ def l_cls(pred_probs: Value, y_onehot: np.ndarray) -> Value:
     y_leaf = pred_probs.tape.leaf(y, "y_onehot")
     logp = ad.clamp_min(pred_probs, PROB_FLOOR).log()
     return ad.scale((logp * y_leaf).sum(), -1.0 / n)
-
-
-def l_da(g_s: Value, y_s_onehot: np.ndarray, g_t: Value, y_t_soft: Value,
-         spec: KernelSpec = KernelSpec()) -> Value:
-    """Joint alignment loss: kbw_sq on features plus kbw_sq on label vectors.
-
-    y_s_onehot rows are true source labels (constants); y_t_soft rows are
-    predicted target probabilities and must each sum to 1 within 1e-6.
-    """
-    tape = g_s.tape
-    rowsums = y_t_soft.value.sum(axis=1)
-    if rowsums.size and np.max(np.abs(rowsums - 1.0)) > 1e-6:
-        raise InputError("l_da: y_t_soft rows must sum to 1 (off by more than 1e-6)")
-    if y_s_onehot.shape[1] != y_t_soft.shape[1]:
-        raise DimensionError(
-            f"l_da: class counts differ, {y_s_onehot.shape} vs {y_t_soft.shape}")
-    feat = kbw_sq(g_s, g_t, spec, tape)
-    label = kbw_sq(tape.leaf(y_s_onehot, "y_s"), y_t_soft, spec, tape)
-    return feat + label
 
 
 def l_dmc(g: Value, labels: np.ndarray, pred_probs: np.ndarray,

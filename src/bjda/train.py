@@ -19,9 +19,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import losses as L
-from .autodiff import Tape
+from .autodiff import Tape, Value
 from .data import Dataset
-from .errors import ConfigError, InputError, NumericalError
+from .errors import ConfigError, DimensionError, InputError, NumericalError
 from .kernels import KernelSpec, kbw_sq, optimal_assignment, pairwise_sqdist_matrix
 from .losses import LossBreakdown, Prototypes, one_hot
 from .model import (ModelDims, ModelParams, forward_f, forward_g,
@@ -183,19 +183,38 @@ def _check_pair(source: Dataset, target: Dataset) -> None:
         raise InputError("source dataset must be fully labeled")
 
 
-def _select_rows(tape: Tape, value, idx: np.ndarray):
-    """Differentiable row gather: one-hot selection matrix times the value."""
-    sel = np.zeros((idx.shape[0], value.shape[0]))
-    sel[np.arange(idx.shape[0]), idx] = 1.0
-    return tape.leaf(sel, "select") @ value
+# The alignment terms live here, not in losses: perfbench's tracer wraps
+# kbw_sq and optimal_assignment by their names in this module.
+def l_da(g_s: Value, y_s_onehot: np.ndarray, g_t: Value, y_t_soft: Value | None,
+         spec: KernelSpec = KernelSpec()) -> Value:
+    """Joint alignment loss: kbw_sq on features plus kbw_sq on label vectors.
+
+    y_s_onehot rows are true source labels (constants); y_t_soft rows are
+    predicted target probabilities and must each sum to 1 within 1e-6. With
+    y_t_soft None the label term is left out, as training does when fewer
+    than two target rows pass the pl gate.
+    """
+    tape = g_s.tape
+    if y_t_soft is None:
+        return kbw_sq(g_s, g_t, spec, tape)
+    rowsums = y_t_soft.value.sum(axis=1)
+    if rowsums.size and np.max(np.abs(rowsums - 1.0)) > 1e-6:
+        raise InputError("l_da: y_t_soft rows must sum to 1 (off by more than 1e-6)")
+    if y_s_onehot.shape[1] != y_t_soft.shape[1]:
+        raise DimensionError(
+            f"l_da: class counts differ, {y_s_onehot.shape} vs {y_t_soft.shape}")
+    feat = kbw_sq(g_s, g_t, spec, tape)
+    label = kbw_sq(tape.leaf(y_s_onehot, "y_s"), y_t_soft, spec, tape)
+    return feat + label
 
 
-def _wd_loss(tape: Tape, g_s, g_t, y_s_1h: np.ndarray, probs_t):
+def _wd_loss(g_s: Value, g_t: Value, y_s_1h: np.ndarray, probs_t: Value) -> Value:
     """Exact-transport stand-in for the alignment loss.
 
     One assignment is solved on the detached joint cost (feature + label
     squared distances); gradients then flow through the matched pairs only.
     """
+    tape = g_s.tape
     cost = (pairwise_sqdist_matrix(g_s.value, g_t.value)
             + pairwise_sqdist_matrix(y_s_1h, probs_t.value))
     cols, _ = optimal_assignment(cost)
@@ -206,6 +225,86 @@ def _wd_loss(tape: Tape, g_s, g_t, y_s_1h: np.ndarray, probs_t):
     feat = (ad.pairwise_sqdist(g_s, g_t) * mask).sum()
     label = (ad.pairwise_sqdist(tape.leaf(y_s_1h, "y_s"), probs_t) * mask).sum()
     return ad.scale(feat + label, 1.0 / n)
+
+
+def _kept_rows(value: Value, keep: np.ndarray) -> Value:
+    """Differentiable row gather; the value itself when every row is kept."""
+    if keep.shape[0] == value.shape[0]:
+        return value
+    sel = np.zeros((keep.shape[0], value.shape[0]))
+    sel[np.arange(keep.shape[0]), keep] = 1.0
+    return value.tape.leaf(sel, "select") @ value
+
+
+@dataclass
+class BatchConstants:
+    """What one iteration's objective holds fixed; no gradient reaches these."""
+    labels_s: np.ndarray      # source labels
+    keep: np.ndarray          # target rows that passed the pl gate (all when pl is off)
+    margin_labels: np.ndarray  # source labels, then the kept rows' pseudo-labels
+    margin_probs: np.ndarray  # the probabilities behind the entropy margins, same rows
+    protos: Prototypes
+
+
+def batch_constants(cfg: TrainConfig, g_s: Value, probs_s: Value, probs_t: Value,
+                    labels_s: np.ndarray, protos: Prototypes) -> BatchConstants:
+    """Refresh the prototypes from the source batch and freeze the constants.
+
+    The margin rows take the kept target rows only when at least two passed
+    the gate; otherwise they are the source rows alone.
+    """
+    protos.update(g_s.value, labels_s)
+    pseudo, conf = hard_pseudo_labels(probs_t.value)
+    keep = (np.flatnonzero(conf > cfg.confidence_threshold) if cfg.pl
+            else np.arange(conf.shape[0]))
+    if keep.shape[0] >= 2:
+        margin_labels = np.concatenate([labels_s, pseudo[keep]])
+        margin_probs = np.vstack([probs_s.value, probs_t.value[keep]])
+    else:
+        margin_labels, margin_probs = labels_s, probs_s.value
+    return BatchConstants(labels_s, keep, margin_labels, margin_probs, protos)
+
+
+def objective(cfg: TrainConfig, g_s: Value, g_t: Value, probs_s: Value, probs_t: Value,
+              const: BatchConstants, metrics: RunMetrics) -> tuple[Value, LossBreakdown]:
+    """One iteration's objective, cls + lambda1 * alignment + lambda2 * margin,
+    with the terms the variant fills; counts skipped terms into metrics.
+
+    Gradient flows through the forward Values only. A term whose weight is 0
+    is not built at all.
+    """
+    da_kind, con_kind = _VARIANT_TERMS[cfg.variant]
+    enough_target = const.keep.shape[0] >= 2
+    y_s_1h = one_hot(const.labels_s, probs_s.shape[1])
+
+    da_term = None
+    if da_kind is not None and cfg.lambda1 > 0.0:
+        if da_kind == "wd":
+            da_term = _wd_loss(g_s, g_t, y_s_1h, probs_t)
+        else:
+            metrics.label_term_skips += not enough_target
+            y_t = _kept_rows(probs_t, const.keep) if enough_target else None
+            da_term = l_da(g_s, y_s_1h, g_t, y_t, cfg.kernel)
+
+    con_term = None
+    if con_kind is not None and cfg.lambda2 > 0.0:
+        metrics.dmc_target_skips += not enough_target
+        g_all = ad.vstack(g_s, _kept_rows(g_t, const.keep)) if enough_target else g_s
+        if con_kind == "dmc":
+            con_term, skipped = L.l_dmc(g_all, const.margin_labels, const.margin_probs,
+                                        const.protos)
+            metrics.proto_skips += skipped
+        else:
+            con_term, degenerate = L.l_trip(g_all, const.margin_labels, cfg.triplet_margin)
+            metrics.trip_degenerate += degenerate
+
+    cls_term = L.l_cls(probs_s, y_s_1h)
+    total = L.total_objective(cls_term, da_term, con_term, cfg.lambda1, cfg.lambda2)
+    return total, LossBreakdown(
+        l_cls=cls_term.item(),
+        l_da=da_term.item() if da_term is not None else 0.0,
+        l_dmc=con_term.item() if con_term is not None else 0.0,
+        total=total.item())
 
 
 def train(source: Dataset, target: Dataset,
@@ -222,11 +321,6 @@ def train(source: Dataset, target: Dataset,
     sampler_t = EpochSampler(len(target), cfg.batch_target, rng)
     protos = Prototypes(c_count, cfg.feat_dim, cfg.proto_mode, cfg.ema_decay)
     metrics = RunMetrics()
-
-    da_kind, con_kind = _VARIANT_TERMS[cfg.variant]
-    want_da = da_kind is not None and cfg.lambda1 > 0.0
-    want_con = con_kind is not None and cfg.lambda2 > 0.0
-
     has_target_labels = bool(np.any(target.labels >= 0))
 
     for it in range(1, cfg.t_max + 1):
@@ -246,55 +340,13 @@ def train(source: Dataset, target: Dataset,
         probs_s = forward_f(leaves, g_s)
         probs_t = forward_f(leaves, g_t)
 
-        protos.update(g_s.value, ys)
-        pseudo, conf = hard_pseudo_labels(probs_t.value)
-        if cfg.pl:
-            keep = np.flatnonzero(conf > cfg.confidence_threshold)
-            pl_accept = keep.shape[0] / conf.shape[0]
-        else:
-            keep = np.arange(idx_t.shape[0])
-            pl_accept = None
+        const = batch_constants(cfg, g_s, probs_s, probs_t, ys, protos)
+        pl_accept = const.keep.shape[0] / idx_t.shape[0] if cfg.pl else None
+        loss, breakdown = objective(cfg, g_s, g_t, probs_s, probs_t, const, metrics)
+        if not math.isfinite(breakdown.total):
+            raise NumericalError(f"non-finite loss {breakdown.total!r} at iteration {it}")
 
-        y_s_1h = one_hot(ys, c_count)
-
-        da_term = None
-        if want_da:
-            if da_kind == "wd":
-                da_term = _wd_loss(tape, g_s, g_t, y_s_1h, probs_t)
-            else:
-                da_term = kbw_sq(g_s, g_t, cfg.kernel, tape)
-                if keep.shape[0] >= 2:
-                    y_t_kept = probs_t if keep.shape[0] == idx_t.shape[0] \
-                        else _select_rows(tape, probs_t, keep)
-                    da_term = da_term + kbw_sq(tape.leaf(y_s_1h, "y_s"), y_t_kept,
-                                               cfg.kernel, tape)
-                else:
-                    metrics.label_term_skips += 1
-
-        con_term = None
-        if want_con:
-            if keep.shape[0] >= 2:
-                g_all = ad.vstack(g_s, _select_rows(tape, g_t, keep))
-                labels_all = np.concatenate([ys, pseudo[keep]])
-                probs_all = np.vstack([probs_s.value, probs_t.value[keep]])
-            else:
-                metrics.dmc_target_skips += 1
-                g_all, labels_all, probs_all = g_s, ys, probs_s.value
-            if con_kind == "dmc":
-                con_term, skipped = L.l_dmc(g_all, labels_all, probs_all, protos)
-                metrics.proto_skips += skipped
-            else:
-                con_term, degenerate = L.l_trip(g_all, labels_all, cfg.triplet_margin)
-                metrics.trip_degenerate += degenerate
-
-        cls_term = L.l_cls(probs_s, y_s_1h)
-        objective = L.total_objective(cls_term, da_term, con_term,
-                                      cfg.lambda1, cfg.lambda2)
-        total = objective.item()
-        if not math.isfinite(total):
-            raise NumericalError(f"non-finite loss {total!r} at iteration {it}")
-
-        tape.backward(objective)
+        tape.backward(loss)
         for name in leaves:
             sgd_update(params.tensors[name], leaves[name].grad,
                        params.velocities[name], cfg.lr, cfg.momentum, cfg.weight_decay)
@@ -303,15 +355,7 @@ def train(source: Dataset, target: Dataset,
         if has_target_labels and (it % cfg.eval_every == 0 or it == cfg.t_max):
             target_acc = evaluate(params, target, cfg.leaky_slope).accuracy
 
-        metrics.records.append(IterationRecord(
-            it,
-            LossBreakdown(
-                l_cls=cls_term.item(),
-                l_da=da_term.item() if da_term is not None else 0.0,
-                l_dmc=con_term.item() if con_term is not None else 0.0,
-                total=total,
-                lambda1=cfg.lambda1, lambda2=cfg.lambda2),
-            target_acc, pl_accept))
+        metrics.records.append(IterationRecord(it, breakdown, target_acc, pl_accept))
 
     return params, metrics
 
@@ -395,6 +439,10 @@ def run_suite(source: Dataset, target: Dataset, cfg: TrainConfig,
     Cells are independent (own model, own RNG); jobs > 1 runs them in a
     thread pool. Results keep the requested order either way.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if not variants or not seeds:
+        raise ConfigError("the suite needs at least one variant and one seed")
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant {v!r}")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bjda import autodiff as ad
 from bjda.autodiff import Tape, as_matrix
 from bjda.errors import DimensionError, DomainError, InputError
-from bjda.fdcheck import central_difference, max_rel_error
+from bjda.gradcheck import central_difference, max_rel_error
 from bjda.losses import l_cls
 from bjda.model import ModelDims, forward_f, forward_g, init_xavier, make_leaves
 

@@ -289,6 +289,22 @@ def test_suite_rejects_malformed_seeds(data_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--jobs", "0"], "error: jobs must be >= 1, got 0"),
+    (["--jobs", "-2"], "error: jobs must be >= 1, got -2"),
+    (["--variants", ","], "error: the suite needs at least one variant and one seed"),
+], ids=["jobs-0", "jobs-negative", "variants-empty"])
+def test_suite_rejects_bad_jobs_and_empty_variants(data_dir, tmp_path, capsys,
+                                                   flags, message):
+    out = tmp_path / "s"
+    code = main(["suite", "--source", str(data_dir / "source.csv"),
+                 "--target", str(data_dir / "target.csv"),
+                 "--out", str(out)] + flags + FAST)
+    assert code == 2
+    assert capsys.readouterr().err.strip() == message
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- config
 
 def test_config_round_trips_through_emit_and_parse():

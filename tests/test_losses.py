@@ -6,16 +6,17 @@ from bjda import autodiff as ad
 from bjda.autodiff import Tape
 from bjda.errors import ConfigError, DimensionError, InputError
 from bjda.kernels import KernelSpec, kbw_sq
+from bjda.data import SynthSpec, gen_rotated_blobs
 from bjda.losses import (
     Prototypes,
     entropy_margins,
     l_cls,
-    l_da,
     l_dmc,
     l_trip,
     one_hot,
     total_objective,
 )
+from bjda.train import TrainConfig, l_da, train
 
 
 # ---------------------------------------------------------------- helpers
@@ -396,6 +397,29 @@ def test_trip_records_a_fixed_number_of_tape_nodes():
         l_trip(g, np.arange(n) % 4, 1.0)
         added.append(len(tape) - before)
     assert added == [3, 3]
+
+
+def test_training_records_a_fixed_number_of_tape_nodes(monkeypatch):
+    # per iteration, whatever the batch: a full-batch gather adds no nodes
+    real_backward = Tape.backward
+    counts = []
+
+    def counting_backward(tape, root):
+        counts.append(len(tape))
+        real_backward(tape, root)
+
+    monkeypatch.setattr(Tape, "backward", counting_backward)
+    source, target = gen_rotated_blobs(SynthSpec(dim=6, per_class=40, shift_angle=40.0))
+    expected = {"full": 109, "no_dmc": 90, "wd": 61, "triplet": 96, "source_only": 30}
+    seen = {}
+    for variant in expected:
+        for batch in (16, 64):
+            counts.clear()
+            train(source, target, TrainConfig(
+                variant=variant, hidden_dim=16, feat_dim=8, t_max=3, eval_every=3,
+                batch_source=batch, batch_target=batch))
+            seen[variant, batch] = set(counts)
+    assert seen == {(v, b): {n} for v, n in expected.items() for b in (16, 64)}
 
 
 def test_trip_rejects_negative_margin_and_bad_shapes():

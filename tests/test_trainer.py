@@ -6,13 +6,17 @@ import math
 import numpy as np
 import pytest
 
+from bjda.autodiff import Tape
 from bjda.data import Dataset, SynthSpec, gen_rotated_blobs
 from bjda.errors import ConfigError, InputError, NumericalError
-from bjda.model import init_xavier
+from bjda.losses import one_hot
+from bjda.model import (ModelDims, forward_f, forward_g, hard_pseudo_labels,
+                        init_xavier, make_leaves)
 from bjda.train import (
     EpochSampler,
     TrainConfig,
     evaluate,
+    l_da,
     run_suite,
     sgd_update,
     train,
@@ -173,7 +177,7 @@ def test_breakdown_identity_holds_every_iteration():
     _, metrics = train(source, target, BASE)
     for r in metrics.records:
         b = r.breakdown
-        recomposed = b.l_cls + b.lambda1 * b.l_da + b.lambda2 * b.l_dmc
+        recomposed = b.l_cls + BASE.lambda1 * b.l_da + BASE.lambda2 * b.l_dmc
         assert abs(b.total - recomposed) <= 1e-12
 
 
@@ -243,6 +247,39 @@ def test_pl_accept_is_recorded_only_when_filtering():
                      replace(BASE, t_max=3, pl=True, confidence_threshold=0.34))
     assert all(r.pl_accept is not None and 0.0 <= r.pl_accept <= 1.0
                for r in gated.records)
+
+
+def test_pl_label_term_is_l_da_on_exactly_the_kept_rows():
+    from dataclasses import replace
+    source, target = small_pair()
+    cfg = replace(BASE, t_max=1, pl=True)
+    # the first iteration's batches and forward pass, drawn as train draws them
+    rng = np.random.default_rng([cfg.seed, 1])
+    sampler_s = EpochSampler(len(source), cfg.batch_source, rng)
+    sampler_t = EpochSampler(len(target), cfg.batch_target, rng)
+    idx_s, idx_t = sampler_s.next(), sampler_t.next()
+    params = init_xavier(ModelDims(source.dim, cfg.hidden_dim, cfg.feat_dim,
+                                   source.class_count), cfg.seed)
+    tape = Tape()
+    leaves = make_leaves(tape, params)
+    g_s = forward_g(leaves, tape.leaf(source.features[idx_s], "x_s"))
+    g_t = forward_g(leaves, tape.leaf(target.features[idx_t], "x_t"))
+    probs_t = forward_f(leaves, g_t).value
+    # a threshold halfway between two confidences keeps the top half
+    conf = hard_pseudo_labels(probs_t)[1]
+    ranked = np.sort(conf)
+    half = ranked.shape[0] // 2
+    threshold = (ranked[half - 1] + ranked[half]) / 2.0
+    keep = np.flatnonzero(conf > threshold)
+    assert 2 <= keep.shape[0] < idx_t.shape[0]
+    expected = l_da(g_s, one_hot(source.labels[idx_s], source.class_count), g_t,
+                    tape.leaf(probs_t[keep], "y_t_kept"), cfg.kernel).item()
+
+    _, metrics = train(source, target, replace(cfg, confidence_threshold=threshold))
+    record = metrics.records[0]
+    assert record.pl_accept == keep.shape[0] / idx_t.shape[0]
+    assert record.breakdown.l_da == expected
+    assert metrics.label_term_skips == 0
 
 
 def test_divergent_run_aborts_with_iteration_index():
