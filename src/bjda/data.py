@@ -4,12 +4,14 @@ generator used for desk-scale experiments.
 CSV layout: optional first line "# classes=C", then a header
 "label,f0,...,f{d-1}", then one row per sample. label is an integer class
 index, or -1 for unlabeled rows. Floats are written with 17 significant
-digits, which round-trips IEEE doubles exactly.
+digits, which round-trips IEEE doubles exactly, and every line ends in "\\n".
 """
 from __future__ import annotations
 
 import csv
 import math
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,74 +53,111 @@ class Dataset:
 
 
 def save_csv(dataset: Dataset, path) -> None:
+    header = ",".join(["label"] + [f"f{i}" for i in range(dataset.dim)])
     with open(path, "w", newline="") as fh:
-        fh.write(f"# classes={dataset.class_count}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"f{i}" for i in range(dataset.dim)])
-        for label, row in zip(dataset.labels, dataset.features):
-            writer.writerow([int(label)] + [f"{x:.17g}" for x in row])
+        fh.write(f"# classes={dataset.class_count}\n{header}\n")
+        np.savetxt(fh, np.column_stack([dataset.labels, dataset.features]),
+                   fmt=["%d"] + ["%.17g"] * dataset.dim, delimiter=",")
 
 
 def load_csv(path, class_count: int | None = None, name: str | None = None) -> Dataset:
     """Parse a feature CSV. class_count overrides the file's "# classes" line.
 
-    Without either, the class count falls back to 1 + max label. Errors
-    carry 1-based line numbers.
+    Without either, the class count falls back to 1 + max label. The body is
+    parsed in one np.loadtxt pass: fields may be quoted or padded with
+    spaces, lines may end in \\n or \\r\\n, and blank lines are skipped. A label
+    is a plain integer ("1.0" is not) and a feature is an ASCII float
+    without digit separators. If the table does not parse or fails a check,
+    the file is walked row by row to raise a ParseError or ValidationError
+    naming the first bad line (1-based, blank lines counted).
     """
-    with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
-    file_classes = None
-    lineno = 0
-    if lines and lines[0].lstrip().startswith("#"):
-        comment = lines[0].lstrip()[1:].strip()
+    # an undecodable byte becomes U+FFFD, which no field accepts, so it is
+    # reported as a ParseError naming its line
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        file_classes, header_line, dim = _read_head(path, fh)
+        limit = class_count if class_count is not None else file_classes
+        row_type = np.dtype([("label", np.int64), ("features", np.float64, (dim,))])
+        try:
+            with warnings.catch_warnings():
+                # an empty body is a valid empty dataset
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                table = np.loadtxt(fh, dtype=row_type, delimiter=",", comments=None,
+                                   quotechar='"', ndmin=1)
+        except ValueError as exc:
+            failure = str(exc)
+        else:
+            labels = np.ascontiguousarray(table["label"])
+            features = np.ascontiguousarray(table["features"])
+            if not labels.size or (labels.min() >= -1 and np.isfinite(features).all()
+                                   and (limit is None or labels.max() < limit)):
+                if limit is None:
+                    limit = int(labels.max(initial=-1)) + 1
+                return Dataset(features, labels, limit, name or str(path))
+            failure = "a row fails its checks"
+        _raise_first_bad_row(path, fh, header_line, dim, limit)
+    # reached only if the walk accepts a body np.loadtxt rejected
+    raise ParseError(f"{path}: {failure}")
+
+
+def _read_head(path, fh) -> tuple[int | None, int, int]:
+    """Read the optional "# classes=C" line and the header from fh.
+
+    Returns the file's class count (or None), the header's line number and
+    the feature dimension; fh is left at the first body line.
+    """
+    line = fh.readline()
+    file_classes, header_line = None, 1
+    if line.lstrip().startswith("#"):
+        comment = line.lstrip()[1:].strip()
         if comment.startswith("classes="):
             try:
                 file_classes = int(comment[len("classes="):])
             except ValueError:
-                raise ParseError(f"{path}:1: bad class count in {lines[0]!r}") from None
-        lines = lines[1:]
-        lineno = 1
-    if not lines:
+                raise ParseError(f"{path}:1: bad class count in {line.rstrip()!r}") from None
+        line, header_line = fh.readline(), 2
+    if not line:
         raise ParseError(f"{path}: missing header row")
-    header = next(csv.reader([lines[0]]))
-    header_line = lineno + 1
+    header = next(csv.reader([line]), [])
     if len(header) < 2 or header[0] != "label" or \
             header[1:] != [f"f{i}" for i in range(len(header) - 1)]:
         raise ParseError(f"{path}:{header_line}: header must be label,f0,...,f{{d-1}}")
-    dim = len(header) - 1
+    return file_classes, header_line, len(header) - 1
 
-    labels, rows = [], []
-    for offset, record in enumerate(csv.reader(lines[1:])):
-        ln = header_line + 1 + offset
+
+# the syntax np.loadtxt accepts for an integer field
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _raise_first_bad_row(path, fh, header_line: int, dim: int, limit: int | None) -> None:
+    """Walk the body of fh with the per-row checks and raise the first failure."""
+    fh.seek(0)
+    for _ in range(header_line):
+        fh.readline()
+    reader = csv.reader(fh)
+    for record in reader:
+        ln = header_line + reader.line_num
         if not record:
             continue
         if len(record) != dim + 1:
             raise ParseError(f"{path}:{ln}: expected {dim + 1} fields, got {len(record)}")
-        try:
-            label = int(record[0])
-        except ValueError:
-            raise ParseError(f"{path}:{ln}: label {record[0]!r} is not an integer") from None
+        label = int(record[0]) if _INTEGER.fullmatch(record[0]) else None
+        if label is None or not -2 ** 63 <= label < 2 ** 63:
+            raise ParseError(f"{path}:{ln}: label {record[0]!r} is not an integer")
         if label < -1:
             raise ValidationError(f"{path}:{ln}: label {label} must be >= -1")
-        try:
-            row = [float(x) for x in record[1:]]
-        except ValueError:
-            raise ParseError(f"{path}:{ln}: malformed float") from None
-        for j, x in enumerate(row):
+        if limit is not None and label >= limit:
+            raise ValidationError(f"{path}:{ln}: label {label} >= class count {limit}")
+        for j, field in enumerate(record[1:]):
+            # np.loadtxt takes neither digit separators nor non-ASCII digits
+            try:
+                if "_" in field or not field.isascii():
+                    raise ValueError
+                x = float(field)
+            except ValueError:
+                raise ParseError(f"{path}:{ln}: malformed float in column f{j}") from None
             if not math.isfinite(x):
                 raise ValidationError(f"{path}:{ln}: non-finite value in column f{j}")
-        labels.append(label)
-        rows.append(row)
-
-    features = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
-    labels_arr = np.array(labels, dtype=np.int64)
-    resolved = class_count if class_count is not None else file_classes
-    if resolved is None:
-        resolved = int(labels_arr.max()) + 1 if labels_arr.size else 0
-    max_label = int(labels_arr.max()) if labels_arr.size else -1
-    if max_label >= resolved:
-        raise ValidationError(f"{path}: label {max_label} >= class count {resolved}")
-    return Dataset(features, labels_arr, resolved, name or str(path))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
 """Dataset validation, CSV round trips, and the rotated-blobs generator."""
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -66,8 +69,11 @@ def test_csv_class_count_resolution(tmp_path):
 def test_csv_rejects_label_beyond_declared_classes(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("# classes=2\nlabel,f0\n0,1.0\n2,2.0\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=":4:"):
         load_csv(path)
+    path.write_text("label,f0\n0,1.0\n2,2.0\n")
+    with pytest.raises(ValidationError, match=":3:"):
+        load_csv(path, class_count=2)
 
 
 def test_csv_parse_errors_carry_line_numbers(tmp_path):
@@ -112,6 +118,98 @@ def test_csv_validation_errors_carry_line_numbers(tmp_path):
     path.write_text("# classes=2\nlabel,f0,f1\n0,1.0,nan\n")
     with pytest.raises(ValidationError, match="f1"):
         load_csv(path)
+
+
+def test_save_csv_writes_one_line_ending(tmp_path):
+    ds = Dataset(np.array([[np.pi, 1e-300], [-1.0, 0.5]]), np.array([-1, 1]), 2)
+    path = tmp_path / "d.csv"
+    save_csv(ds, path)
+    assert path.read_bytes() == (b"# classes=2\nlabel,f0,f1\n"
+                                 b"-1,3.1415926535897931,1e-300\n1,-1,0.5\n")
+
+
+def test_csv_with_mixed_line_endings_loads(tmp_path):
+    # earlier versions of save_csv ended the header and rows in \r\n
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"# classes=2\nlabel,f0,f1\r\n-1,3.1415926535897931,-1\r\n"
+                     b"1,1e-300,0.5\r\n")
+    back = load_csv(path)
+    assert np.array_equal(back.features, [[np.pi, -1.0], [1e-300, 0.5]])
+    assert np.array_equal(back.labels, [-1, 1])
+    assert back.class_count == 2
+
+
+@pytest.mark.parametrize("text", [
+    "label,f0,f1\r\n0,1.5,2.5\r\n1,3,4\r\n",
+    '"label","f0","f1"\n"0", 1.5 ,"2.5"\n 1 ,3,4\n',
+    "label,f0,f1\n\n0,1.5,2.5\n\n1,3,4\n\n",
+])
+def test_csv_accepts_crlf_quotes_spaces_and_blank_lines(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    back = load_csv(path)
+    assert np.array_equal(back.features, [[1.5, 2.5], [3.0, 4.0]])
+    assert np.array_equal(back.labels, [0, 1])
+
+
+def test_csv_blank_lines_count_in_error_line_numbers(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("# classes=2\nlabel,f0\n0,1.0\n\nx,2.0\n")
+    with pytest.raises(ParseError, match=":5:"):
+        load_csv(path)
+    path.write_text("label,f0\n\n0,1.0\n\n-2,2.0\n")
+    with pytest.raises(ValidationError, match=":5:"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("row", [
+    "1.0,1", "1e0,1", "1_0,1", "\u0663,1", "99999999999999999999,1",  # labels
+    "0,1_0", "0,\u0661.\u0665", "0,", "0,0x10",                        # features
+])
+def test_csv_rejects_numbers_outside_the_loadtxt_syntax(tmp_path, row):
+    # int() and float() take "1_0" and non-ASCII digits; the loader does not
+    path = tmp_path / "d.csv"
+    path.write_text(f"label,f0\n0,2.0\n{row}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=":3:"):
+        load_csv(path)
+
+
+def test_csv_undecodable_bytes_are_parse_errors_with_line_numbers(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"label,f0\n0,1.0\n1,\xff\n")
+    with pytest.raises(ParseError, match=":3:"):
+        load_csv(path)
+    path.write_bytes(b"# classes=2\xff\nlabel,f0\n")
+    with pytest.raises(ParseError, match=":1:"):
+        load_csv(path)
+
+
+def test_csv_empty_body_loads_without_warning(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("# classes=3\nlabel,f0,f1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = load_csv(path)
+    assert back.features.shape == (0, 2)
+    assert back.labels.shape == (0,)
+    assert back.class_count == 3
+
+
+def test_load_csv_peak_memory_stays_near_the_feature_array(tmp_path):
+    # the parsed table and its contiguous copy need about 2x features.nbytes;
+    # per-row lists of Python floats would need about 8x
+    rng = np.random.default_rng(0)
+    ds = Dataset(rng.normal(size=(3000, 64)), rng.integers(-1, 4, size=3000), 4)
+    path = tmp_path / "d.csv"
+    save_csv(ds, path)
+    tracemalloc.start()
+    try:
+        back = load_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.features, ds.features)
+    assert peak < 3 * back.features.nbytes
 
 
 # ---------------------------------------------------------------- synth
