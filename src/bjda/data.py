@@ -63,7 +63,8 @@ def save_csv(dataset: Dataset, path) -> None:
 def load_csv(path, class_count: int | None = None, name: str | None = None) -> Dataset:
     """Parse a feature CSV. class_count overrides the file's "# classes" line.
 
-    Without either, the class count falls back to 1 + max label. The body is
+    Without either, the class count falls back to 1 + max label; a negative
+    class count is a ValidationError. The body is
     parsed in one np.loadtxt pass: fields may be quoted or padded with
     spaces, lines may end in \\n or \\r\\n, and blank lines are skipped. A label
     is a plain integer ("1.0" is not) and a feature is an ASCII float
@@ -76,12 +77,20 @@ def load_csv(path, class_count: int | None = None, name: str | None = None) -> D
     with open(path, encoding="utf-8", errors="replace") as fh:
         file_classes, header_line, dim = _read_head(path, fh)
         limit = class_count if class_count is not None else file_classes
+        if limit is not None and limit < 0:
+            where = path if class_count is not None else f"{path}:1"
+            raise ValidationError(f"{where}: class count {limit} must be >= 0")
         row_type = np.dtype([("label", np.int64), ("features", np.float64, (dim,))])
         try:
             with warnings.catch_warnings():
                 # an empty body is a valid empty dataset
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                         UserWarning)
+                # older numpy parses an integer field such as "1.5" through a
+                # float, truncates it and only warns; as an error, numpy
+                # raises ValueError and the walk names the line
+                warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
+                                        DeprecationWarning)
                 table = np.loadtxt(fh, dtype=row_type, delimiter=",", comments=None,
                                    quotechar='"', ndmin=1)
         except ValueError as exc:

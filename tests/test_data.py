@@ -76,6 +76,17 @@ def test_csv_rejects_label_beyond_declared_classes(tmp_path):
         load_csv(path, class_count=2)
 
 
+def test_csv_rejects_a_negative_class_count(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("# classes=-1\nlabel,f0\n")
+    with pytest.raises(ValidationError, match=":1:"):
+        load_csv(path)
+    path.write_text("label,f0\n")
+    with pytest.raises(ValidationError, match="class count -3"):
+        load_csv(path, class_count=-3)
+    assert load_csv(path, class_count=0).class_count == 0
+
+
 def test_csv_parse_errors_carry_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
 
@@ -172,6 +183,37 @@ def test_csv_rejects_numbers_outside_the_loadtxt_syntax(tmp_path, row):
     path.write_text(f"label,f0\n0,2.0\n{row}\n", encoding="utf-8")
     with pytest.raises(ParseError, match=":3:"):
         load_csv(path)
+
+
+_INSTALLED_LOADTXT = np.loadtxt
+
+
+def _loadtxt_parsing_ints_via_float(fname, dtype, **kwargs):
+    """np.loadtxt as older numpy runs it on a float label: it warns, and
+    unless the warning is an error (which numpy wraps in a ValueError) it
+    truncates the label."""
+    try:
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+    except DeprecationWarning as exc:
+        raise ValueError("could not convert string to int64") from exc
+    as_float = np.dtype([("label", np.float64), ("features", dtype["features"])])
+    return _INSTALLED_LOADTXT(fname, dtype=as_float, **kwargs).astype(dtype)
+
+
+@pytest.mark.parametrize("numpy_loadtxt", ["installed", "parsing ints via float"])
+@pytest.mark.parametrize("label", ["1.0", "1.5", "-1.5"])
+def test_csv_rejects_float_labels_with_warnings_ignored(tmp_path, monkeypatch,
+                                                        numpy_loadtxt, label):
+    # outside pytest a DeprecationWarning is ignored by default
+    if numpy_loadtxt != "installed":
+        monkeypatch.setattr(np, "loadtxt", _loadtxt_parsing_ints_via_float)
+    path = tmp_path / "d.csv"
+    path.write_text(f"# classes=3\nlabel,f0\n{label},0.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ParseError, match=":3:"):
+            load_csv(path)
 
 
 def test_csv_undecodable_bytes_are_parse_errors_with_line_numbers(tmp_path):
