@@ -8,9 +8,8 @@ over float64 matrices; no deep-learning framework involved.
 """
 from .autodiff import Tape, Value
 from .data import Dataset, SynthSpec, gen_rotated_blobs, load_csv, save_csv
-from .kernels import (KernelSpec, centering, closed_form_bures,
-                      exact_wasserstein_sq, gaussian_bandwidth, kbw_sq,
-                      kernel_matrix)
+from .kernels import (KernelSpec, closed_form_bures, exact_wasserstein_sq,
+                      gaussian_bandwidth, kbw_sq, kernel_matrix)
 from .losses import (LossBreakdown, Prototypes, entropy_margins, l_cls, l_dmc,
                      l_trip, one_hot, total_objective)
 from .model import (ModelDims, ModelParams, forward_f, forward_g,
@@ -24,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Tape", "Value",
     "Dataset", "SynthSpec", "gen_rotated_blobs", "load_csv", "save_csv",
-    "KernelSpec", "centering", "closed_form_bures", "exact_wasserstein_sq",
+    "KernelSpec", "closed_form_bures", "exact_wasserstein_sq",
     "gaussian_bandwidth", "kbw_sq", "kernel_matrix",
     "LossBreakdown", "Prototypes", "entropy_margins", "l_cls", "l_da",
     "l_dmc", "l_trip", "one_hot", "total_objective",

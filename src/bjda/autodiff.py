@@ -78,9 +78,6 @@ class Value:
     def trace(self) -> "Value":
         return trace(self)
 
-    def transpose(self) -> "Value":
-        return transpose(self)
-
     @property
     def T(self) -> "Value":
         return transpose(self)
@@ -88,13 +85,8 @@ class Value:
     def __matmul__(self, other: "Value") -> "Value":
         return matmul(self, other)
 
-    def __add__(self, other) -> "Value":
-        if isinstance(other, Value):
-            return add(self, other)
-        return add_scalar(self, float(other))
-
-    def __radd__(self, other) -> "Value":
-        return add_scalar(self, float(other))
+    def __add__(self, other: "Value") -> "Value":
+        return add(self, other)
 
     def __sub__(self, other: "Value") -> "Value":
         return sub(self, other)
@@ -103,12 +95,6 @@ class Value:
         if isinstance(other, Value):
             return hadamard(self, other)
         return scale(self, float(other))
-
-    def __rmul__(self, other) -> "Value":
-        return scale(self, float(other))
-
-    def __neg__(self) -> "Value":
-        return scale(self, -1.0)
 
     def __repr__(self) -> str:
         return f"Value(shape={self.shape})"
@@ -221,18 +207,6 @@ def scale(a: Value, s: float) -> Value:
 
     def backward():
         a.grad += out.grad * s
-
-    out._backward = backward
-    return out
-
-
-def add_scalar(a: Value, c: float) -> Value:
-    """Add the constant c to every entry."""
-    c = float(c)
-    out = a.tape._record(a.value + c)
-
-    def backward():
-        a.grad += out.grad
 
     out._backward = backward
     return out
@@ -372,6 +346,47 @@ def transpose(a: Value) -> Value:
 
     def backward():
         a.grad += out.grad.T
+
+    out._backward = backward
+    return out
+
+
+def take(a: Value, rows, cols=None) -> Value:
+    """The rows a[rows], or with cols the entries a[rows[k], cols[k]] as a column.
+
+    The indices are constants. The adjoint scatters the upstream gradient
+    back with np.add.at, so a repeated index accumulates every pick.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    index = rows if cols is None else (rows, np.asarray(cols, dtype=np.intp))
+    if rows.ndim != 1 or (cols is not None and index[1].shape != rows.shape):
+        raise DimensionError(f"take: expected one 1-D index array per axis, got rows "
+                             f"{rows.shape} and cols {None if cols is None else index[1].shape}")
+    picked = a.value[index]
+    out = a.tape._record(picked if cols is None else picked.reshape(-1, 1))
+
+    def backward():
+        np.add.at(a.grad, index, out.grad if cols is None else out.grad[:, 0])
+
+    out._backward = backward
+    return out
+
+
+def _centered(x: np.ndarray) -> np.ndarray:
+    x = x - x.mean(axis=0, keepdims=True)
+    return x - x.mean(axis=1, keepdims=True)
+
+
+def center(a: Value) -> Value:
+    """H_n a H_m for the n x m matrix a, H_k = I - (1/k) 1 1^T, in O(nm).
+
+    Subtracts the column means, then the row means of what is left. The
+    centering matrices are symmetric, so the op is its own adjoint.
+    """
+    out = a.tape._record(_centered(a.value))
+
+    def backward():
+        a.grad += _centered(out.grad)
 
     out._backward = backward
     return out

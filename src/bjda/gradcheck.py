@@ -149,8 +149,8 @@ def _op_cases(rng: np.random.Generator) -> list[CheckCase]:
                   _weighted(lambda t, l: l[0] - l[1], rng.standard_normal((3, 4))), 1e-6),
         CheckCase("scale", [rng.standard_normal((3, 3))],
                   _weighted(lambda t, l: ad.scale(l[0], -1.7), rng.standard_normal((3, 3))), 1e-6),
-        CheckCase("add_scalar", [rng.standard_normal((3, 3))],
-                  _weighted(lambda t, l: ad.add_scalar(l[0], 0.9), rng.standard_normal((3, 3))), 1e-6),
+        CheckCase("take_rows", [rng.standard_normal((3, 3))],
+                  _weighted(lambda t, l: ad.take(l[0], [2, 0, 2]), rng.standard_normal((3, 3))), 1e-6),
         CheckCase("hadamard", [rng.standard_normal((4, 3)), rng.standard_normal((4, 3))],
                   _weighted(lambda t, l: l[0] * l[1], rng.standard_normal((4, 3))), 1e-6),
         CheckCase("exp", [rng.uniform(-1.5, 1.5, (3, 4))],
@@ -185,16 +185,21 @@ def _op_cases(rng: np.random.Generator) -> list[CheckCase]:
     return cases
 
 
+def _hinge_args(d: np.ndarray, labels: np.ndarray, margin: float) -> np.ndarray:
+    """Every batch-all triplet hinge argument (d_ij - d_ik) + margin of d."""
+    same = labels[:, None] == labels[None, :]
+    pos = same & ~np.eye(labels.size, dtype=bool)
+    return np.concatenate([(d[i, pos[i]][:, None] - d[i, ~same[i]][None, :]).ravel()
+                           for i in range(labels.size)]) + margin
+
+
 def _triplet_hinge_case(rng: np.random.Generator) -> CheckCase:
     """Hinge sum on a positive 7x7 matrix, every hinge argument off its kink."""
     labels = np.array([0, 0, 1, 1, 2, 2, 3])
     margin = 0.7
-    same = labels[:, None] == labels[None, :]
-    pos = same & ~np.eye(7, dtype=bool)
     for attempt in range(500):
         d = np.random.default_rng([int(rng.integers(2 ** 32)), attempt]).uniform(0.2, 2.0, (7, 7))
-        expr = np.concatenate([(d[i, pos[i]][:, None] - d[i, ~same[i]][None, :]).ravel()
-                               for i in range(7)]) + margin
+        expr = _hinge_args(d, labels, margin)
         if np.abs(expr).min() >= 0.1 and (expr > 0).sum() >= 2:
             break
     else:
@@ -275,21 +280,10 @@ def _l_trip_case(rng: np.random.Generator) -> CheckCase:
     for attempt in range(500):
         g = np.random.default_rng([int(rng.integers(2 ** 32)), attempt]).normal(0.0, 1.0, (6, 2))
         dist = np.sqrt(np.maximum(((g[:, None, :] - g[None, :, :]) ** 2).sum(-1), 0.0))
-        off = ~np.eye(6, dtype=bool)
-        if dist[off].min() < 0.2:
+        if dist[~np.eye(6, dtype=bool)].min() < 0.2:
             continue
-        ok = True
-        active = 0
-        same = labels[:, None] == labels[None, :]
-        for i in range(6):
-            pos = same[i] & off[i]
-            neg = ~same[i]
-            expr = dist[i, pos][:, None] - dist[i, neg][None, :] + margin
-            if np.abs(expr).min() < 0.1:
-                ok = False
-                break
-            active += int((expr > 0).sum())
-        if ok and active >= 2:
+        expr = _hinge_args(dist, labels, margin)
+        if np.abs(expr).min() >= 0.1 and (expr > 0).sum() >= 2:
             break
     else:
         raise NumericalError("l_trip gradcheck: no kink-free instance found")
@@ -358,4 +352,11 @@ def build_cases(seed: int = 0) -> list[CheckCase]:
     cases.append(_l_dmc_case(rng))
     cases.append(_l_trip_case(rng))
     cases.append(_end_to_end_case(rng))
+    # drawn last, so no earlier case's instance depends on them
+    cases.append(CheckCase("take_entries", [rng.standard_normal((4, 5))],
+                           _weighted(lambda t, l: ad.take(l[0], [0, 3, 3, 1, 0], [2, 4, 4, 0, 1]),
+                                     rng.standard_normal((5, 1))), 1e-6))
+    cases.append(CheckCase("center", [rng.standard_normal((4, 3))],
+                           _weighted(lambda t, l: ad.center(l[0]), rng.standard_normal((4, 3))),
+                           1e-6))
     return cases

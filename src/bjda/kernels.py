@@ -1,4 +1,4 @@
-"""Kernels, centering, and the distribution distances built on them.
+"""Kernels and the distribution distances built on them.
 
 Three distances live here:
 
@@ -77,13 +77,6 @@ def gaussian_bandwidth(a: np.ndarray, b: np.ndarray) -> float:
     return mean if mean > 0.0 else 1.0
 
 
-def centering(n: int) -> np.ndarray:
-    """Dense centering matrix H_n = I - (1/n) 1 1^T."""
-    if n < 1:
-        raise InputError(f"centering: size must be >= 1, got {n}")
-    return np.eye(n) - np.full((n, n), 1.0 / n)
-
-
 def _as_value(x, tape: Tape | None, name: str) -> Value:
     if isinstance(x, Value):
         return x
@@ -122,13 +115,13 @@ def kbw_sq(a, b, spec: KernelSpec = KernelSpec(),
            tape: Tape | None = None) -> Value:
     """Squared kernel Bures-Wasserstein distance between two samples.
 
-    With n rows of a and m rows of b, and H the centering matrix sized to
-    match each kernel matrix:
+    With n rows of a and m rows of b, and H_k = I - (1/k) 1 1^T the
+    centering matrix of size k:
 
-        (1/n) tr(K_aa H_n) + (1/m) tr(K_bb H_m)
+        (1/n) tr(H_n K_aa H_n) + (1/m) tr(H_m K_bb H_m)
         - (2 / sqrt(n m)) |H_n K_ab H_m|_*
 
-    clamped at zero. The trace terms use tr(K H_n) = tr K - sum(K) / n.
+    clamped at zero, with each centered Gram matrix one autodiff.center node.
     This is the distance between two covariance operators only when K_aa,
     K_bb and K_ab come from one kernel, so a Gaussian kernel without a fixed
     bandwidth gets one heuristic bandwidth from the pooled rows of a and b.
@@ -152,11 +145,9 @@ def kbw_sq(a, b, spec: KernelSpec = KernelSpec(),
     k_bb = kernel_matrix(bv, bv, spec, tape, bandwidth_sq=fixed_bw)
     k_ab = kernel_matrix(av, bv, spec, tape, bandwidth_sq=fixed_bw)
 
-    term_a = ad.scale(k_aa.trace() - ad.scale(k_aa.sum(), 1.0 / n), 1.0 / n)
-    term_b = ad.scale(k_bb.trace() - ad.scale(k_bb.sum(), 1.0 / m), 1.0 / m)
-    h_n = tape.leaf(centering(n), "H_n")
-    h_m = tape.leaf(centering(m), "H_m")
-    coupling = ad.nuclear_norm(h_n @ k_ab @ h_m)
+    term_a = ad.scale(ad.center(k_aa).trace(), 1.0 / n)
+    term_b = ad.scale(ad.center(k_bb).trace(), 1.0 / m)
+    coupling = ad.nuclear_norm(ad.center(k_ab))
     dist_sq = term_a + term_b - ad.scale(coupling, 2.0 / np.sqrt(n * m))
     return ad.clamp_min(dist_sq, 0.0)
 

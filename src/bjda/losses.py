@@ -149,15 +149,10 @@ def l_dmc(g: Value, labels: np.ndarray, pred_probs: np.ndarray,
     masked = np.where(other_present, dist.value, np.inf)
     neg_idx = np.argmin(masked, axis=1)
 
-    pos_mask = np.zeros((n, c_count))
-    neg_mask = np.zeros((n, c_count))
-    rows = np.arange(n)[valid]
-    pos_mask[rows, labels[valid]] = 1.0
-    neg_mask[rows, neg_idx[valid]] = 1.0
-
-    ones_c = tape.leaf(np.ones((c_count, 1)), "ones")
-    d_pos = (dist * tape.leaf(pos_mask, "pos_mask")) @ ones_c
-    d_neg = (dist * tape.leaf(neg_mask, "neg_mask")) @ ones_c
+    # a skipped row reads its own prototype twice: its hinge argument is 0
+    rows = np.arange(n)
+    d_pos = ad.take(dist, rows, labels)
+    d_neg = ad.take(dist, rows, np.where(valid, neg_idx, labels))
     margins = (entropy_margins(pred_probs) * valid).reshape(n, 1)
     hinge = ad.clamp_min(d_pos - d_neg + tape.leaf(margins, "margins"), 0.0)
     return ad.scale(hinge.sum(), 1.0 / (n - skipped)), skipped

@@ -59,11 +59,6 @@ class ModelParams:
         if not self.velocities:
             self.velocities = {n: np.zeros(shapes[n]) for n in PARAM_NAMES}
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.dims,
-                           {n: self.tensors[n].copy() for n in PARAM_NAMES},
-                           {n: self.velocities[n].copy() for n in PARAM_NAMES})
-
 
 def init_xavier(dims: ModelDims, seed: int) -> ModelParams:
     """Xavier-uniform weights in +-sqrt(6 / (fan_in + fan_out)), zero biases.

@@ -64,6 +64,9 @@ class TrainConfig:
     eval_every: int = 50
 
     def validate(self) -> None:
+        for key in ("lambda1", "lambda2", "weight_decay", "triplet_margin", "leaky_slope"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -214,26 +217,20 @@ def _wd_loss(g_s: Value, g_t: Value, y_s_1h: np.ndarray, probs_t: Value) -> Valu
     One assignment is solved on the detached joint cost (feature + label
     squared distances); gradients then flow through the matched pairs only.
     """
-    tape = g_s.tape
     cost = (pairwise_sqdist_matrix(g_s.value, g_t.value)
             + pairwise_sqdist_matrix(y_s_1h, probs_t.value))
     cols, _ = optimal_assignment(cost)
-    n = cost.shape[0]
-    perm = np.zeros((n, n))
-    perm[np.arange(n), cols] = 1.0
-    mask = tape.leaf(perm, "transport")
-    feat = (ad.pairwise_sqdist(g_s, g_t) * mask).sum()
-    label = (ad.pairwise_sqdist(tape.leaf(y_s_1h, "y_s"), probs_t) * mask).sum()
-    return ad.scale(feat + label, 1.0 / n)
+    rows = np.arange(cost.shape[0])
+    feat = ad.take(ad.pairwise_sqdist(g_s, g_t), rows, cols).sum()
+    label = ad.take(ad.pairwise_sqdist(g_s.tape.leaf(y_s_1h, "y_s"), probs_t), rows, cols).sum()
+    return ad.scale(feat + label, 1.0 / rows.shape[0])
 
 
 def _kept_rows(value: Value, keep: np.ndarray) -> Value:
     """Differentiable row gather; the value itself when every row is kept."""
     if keep.shape[0] == value.shape[0]:
         return value
-    sel = np.zeros((keep.shape[0], value.shape[0]))
-    sel[np.arange(keep.shape[0]), keep] = 1.0
-    return value.tape.leaf(sel, "select") @ value
+    return ad.take(value, keep)
 
 
 @dataclass

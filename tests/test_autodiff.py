@@ -231,9 +231,9 @@ def test_add_rowvec_requires_single_row():
 def test_scalar_operator_sugar():
     tape = Tape()
     x = tape.leaf([[2.0]])
-    assert (3.0 * x).item() == 6.0
-    assert (x + 1.0).item() == 3.0
-    assert (-x).item() == -2.0
+    assert (x * 3.0).item() == 6.0
+    assert (x + x).item() == 4.0
+    assert (x - x).item() == 0.0
     assert (x * x).item() == 4.0
 
 
@@ -360,7 +360,7 @@ def scalarized(build):
 
 @pytest.mark.parametrize("name,build", [
     ("exp_sum", lambda t, v: v.exp().sum()),
-    ("log_shift", lambda t, v: (v + 5.0).log().sum()),
+    ("log_shift", lambda t, v: (v + t.leaf(np.full(v.shape, 5.0))).log().sum()),
     ("softmax_weighted", lambda t, v: (ad.softmax_rows(v)
                                        * t.leaf(np.arange(12.0).reshape(3, 4))).sum()),
     ("matmul_self", lambda t, v: (v @ v.T).sum()),
@@ -483,3 +483,70 @@ def triplet_batches(draw):
 @given(triplet_batches())
 def test_triplet_hinge_property_matches_triple_loop(batch):
     check_triplet_hinge(*batch)
+
+
+# ---------------------------------------------------------------------------
+# take and center against plain numpy
+
+
+@st.composite
+def take_batches(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k = draw(st.integers(1, 10))
+    rows = np.array(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)))
+    rows = np.append(rows, rows[0])   # at least one repeated index
+    cols = None
+    if draw(st.booleans()):
+        cols = np.array(draw(st.lists(st.integers(0, m - 1), min_size=k, max_size=k)))
+        cols = np.append(cols, cols[0])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    upstream_shape = (k + 1, m) if cols is None else (k + 1, 1)
+    return rng.normal(size=(n, m)), rows, cols, rng.normal(size=upstream_shape)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(take_batches())
+def test_take_property_matches_fancy_indexing_and_add_at(batch):
+    a, rows, cols, upstream = batch
+    tape = Tape()
+    leaf = tape.leaf(a)
+    out = ad.take(leaf, rows, cols)
+    index = rows if cols is None else (rows, cols)
+    assert np.array_equal(out.value, a[index].reshape(upstream.shape))
+    out.grad = upstream
+    out._backward()
+    expected = np.zeros_like(a)
+    np.add.at(expected, index, upstream if cols is None else upstream[:, 0])
+    assert np.array_equal(leaf.grad, expected)
+
+
+def test_take_checks_index_shapes():
+    leaf = Tape().leaf(np.zeros((3, 3)))
+    with pytest.raises(DimensionError):
+        ad.take(leaf, np.zeros((2, 2), dtype=int))
+    with pytest.raises(DimensionError):
+        ad.take(leaf, [0, 1], [0])
+
+
+@st.composite
+def center_batches(draw):
+    n, m = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    offset = draw(st.sampled_from([0.0, 1.0, -30.0]))
+    return offset + rng.normal(size=(n, m)), rng.normal(size=(n, m))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(center_batches())
+def test_center_property_matches_dense_centering_matrices(batch):
+    a, upstream = batch
+    n, m = a.shape
+    h_n = np.eye(n) - np.full((n, n), 1.0 / n)
+    h_m = np.eye(m) - np.full((m, m), 1.0 / m)
+    tape = Tape()
+    leaf = tape.leaf(a)
+    out = ad.center(leaf)
+    assert np.abs(out.value - h_n @ a @ h_m).max() <= 1e-12 * max(1.0, np.abs(a).max())
+    out.grad = upstream
+    out._backward()
+    assert np.array_equal(leaf.grad, ad.center(Tape().leaf(upstream)).value)

@@ -146,6 +146,19 @@ def test_bad_override_exits_2(data_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["lambda1", "lambda2", "weight_decay", "triplet_margin",
+                                 "leaky_slope"])
+def test_non_finite_float_keys_exit_2_before_training(data_dir, tmp_path, capsys, key, raw):
+    out = tmp_path / "o"
+    code = main(["train", "--source", str(data_dir / "source.csv"),
+                 "--target", str(data_dir / "target.csv"),
+                 "--set", f"{key}={raw}", "--out", str(out)] + FAST)
+    assert code == 2
+    assert capsys.readouterr().err.strip() == f"error: {key} must be finite, got {raw}"
+    assert not out.exists()
+
+
 def test_divergent_run_exits_4(data_dir, tmp_path, capsys):
     code = main(["train", "--source", str(data_dir / "source.csv"),
                  "--target", str(data_dir / "target.csv"),
@@ -208,7 +221,7 @@ def test_distance_ot_unequal_sizes_exits_2(tmp_path, capsys):
 def test_gradcheck_passes_and_lists_every_case(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
-    assert "all 25 gradient checks passed" in out
+    assert "all 27 gradient checks passed" in out
     for name in ("nuclear_norm", "triplet_hinge", "l_dmc", "end_to_end"):
         assert re.search(rf"^{name}\s+max rel err", out, re.M)
 

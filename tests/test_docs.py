@@ -2,6 +2,8 @@
 import re
 from pathlib import Path
 
+from bjda import gradcheck
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -12,3 +14,9 @@ def test_readme_layout_lists_exactly_the_package_modules():
     modules = {p.name for p in (ROOT / "src" / "bjda").glob("*.py")
                if p.name != "__init__.py"}
     assert listed == modules
+
+
+def test_readme_gradcheck_count_matches_the_audit():
+    readme = (ROOT / "README.md").read_text()
+    counts = re.findall(r"all (\d+) tape gradients", readme)
+    assert counts == [str(len(gradcheck.build_cases()))]

@@ -1,4 +1,4 @@
-"""Kernel matrices, centering, and the three distribution distances."""
+"""Kernel matrices and the three distribution distances."""
 import itertools
 
 import numpy as np
@@ -6,7 +6,7 @@ import pytest
 
 from bjda.autodiff import Tape
 from bjda.errors import ConfigError, DimensionError, InputError
-from bjda.kernels import (KernelSpec, centering, closed_form_bures,
+from bjda.kernels import (KernelSpec, closed_form_bures,
                           exact_wasserstein_sq, gaussian_bandwidth,
                           kbw_sq, kernel_matrix, optimal_assignment,
                           pairwise_sqdist_matrix)
@@ -83,23 +83,6 @@ def test_kernel_matrix_mixed_value_and_array():
     a = tape.leaf(np.ones((2, 2)))
     k = kernel_matrix(a, np.zeros((3, 2)), KernelSpec(bandwidth_sq=1.0))
     assert k.shape == (2, 3)
-
-
-# ---------------------------------------------------------------------------
-# centering
-
-
-def test_centering_idempotent_and_zero_row_sums():
-    for n in (1, 2, 5, 17):
-        h = centering(n)
-        assert np.allclose(h @ h, h, atol=1e-12)
-        assert np.allclose(h.sum(axis=1), 0.0, atol=1e-12)
-        assert np.allclose(h, h.T, atol=0)
-
-
-def test_centering_rejects_nonpositive_size():
-    with pytest.raises(InputError):
-        centering(0)
 
 
 # ---------------------------------------------------------------------------

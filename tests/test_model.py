@@ -1,4 +1,5 @@
 """Model init, forward passes, pseudo-labels, and checkpoint I/O."""
+import copy
 import struct
 
 import numpy as np
@@ -59,7 +60,7 @@ def test_velocities_start_at_zero_with_matching_shapes():
 
 def test_params_copy_is_independent():
     params = init_xavier(DIMS, 0)
-    dup = params.copy()
+    dup = copy.deepcopy(params)
     dup.tensors["w1"][0, 0] += 1.0
     dup.velocities["w1"][0, 0] += 1.0
     assert params.tensors["w1"][0, 0] != dup.tensors["w1"][0, 0]
@@ -127,7 +128,7 @@ def test_forward_f_rows_are_probabilities():
 
 def test_forward_f_is_invariant_to_constant_logit_shift():
     params = init_xavier(DIMS, 9)
-    shifted = params.copy()
+    shifted = copy.deepcopy(params)
     shifted.tensors["bc"] = shifted.tensors["bc"] + 3.7
     x = np.random.default_rng(9).normal(size=(5, 3))
     assert np.allclose(predict_probs(params, x), predict_probs(shifted, x),
