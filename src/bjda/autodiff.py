@@ -6,13 +6,23 @@ creation order, accumulating into each Value's grad. There is no graph
 pruning and no topological sort: reverse tape order is already a valid
 evaluation order, and it keeps replays bitwise deterministic.
 
+Grad buffers are lazy: a node has none until the first adjoint reaches it,
+the first write stores 0.0 + delta (so -0.0 becomes +0.0, as in a
+zero-filled buffer), and backward skips every node without one. .grad
+reads as a zero matrix while there is none. Data goes on the tape as constants
+(Tape.constant): they take no gradient, an op whose operands are all
+constants records a constant, and no adjoint is computed for a constant
+operand, so training spends nothing on the gradient of its inputs. A leaf
+made with copy=False wraps the caller's array; the model's parameter leaves
+alias its tensors that way.
+
 backward consumes its tape. Once the reverse pass ends, every node drops its
 adjoint rule and the tape drops its node list, so no reference cycle is left
 and the tape is freed by reference counting as soon as the caller lets go of
 it; values and grads stay readable. A second backward on the same tape
-raises InputError. Inference needs no tape at all: the array-level helpers
-(leaky_relu_array, softmax_rows_array) are the forward rules the tape ops
-use, so a plain-array forward pass gives the same bits.
+raises InputError. Inference needs no tape at all: model.forward_probs
+repeats the tape ops' forward arithmetic on plain arrays (it shares
+softmax_rows_array with softmax_rows), so it gives the same bits.
 """
 from __future__ import annotations
 
@@ -43,14 +53,24 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 class Value:
     """One tape node: a matrix, its gradient accumulator, and its adjoint rule."""
 
-    __slots__ = ("value", "grad", "tape", "_backward")
+    __slots__ = ("value", "_grad", "constant", "tape", "_backward")
 
-    def __init__(self, value: np.ndarray, tape: "Tape"):
+    def __init__(self, value: np.ndarray, tape: "Tape", constant: bool = False):
         self.value = value
-        self.grad = np.zeros_like(value)
+        self._grad: np.ndarray | None = None  # made by the first adjoint that reaches it
+        self.constant = constant
         self.tape = tape
         # the op that records this node sets it; its closure holds the operands
         self._backward: Callable[[], None] | None = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        """The accumulated gradient; a zero matrix when none has reached the node."""
+        return np.zeros_like(self.value) if self._grad is None else self._grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray) -> None:
+        self._grad = g
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -110,14 +130,25 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def leaf(self, x, name: str = "leaf") -> Value:
-        """Record an input matrix. Gradients accumulate into leaf.grad."""
-        node = Value(as_matrix(x, name), self)
+    def leaf(self, x, name: str = "leaf", *, copy: bool = True) -> Value:
+        """Record an input matrix. Gradients accumulate into leaf.grad.
+
+        With copy=False a 2-D float64 array is wrapped as it is, unchecked:
+        the caller vouches that it is finite and leaves it unchanged until
+        backward has run.
+        """
+        node = Value(as_matrix(x, name) if copy else x, self)
         self._nodes.append(node)
         return node
 
-    def _record(self, value: np.ndarray) -> Value:
-        node = Value(value, self)
+    def constant(self, x, name: str = "constant") -> Value:
+        """Record an input matrix that takes no gradient; its grad reads zeros."""
+        node = Value(as_matrix(x, name), self, constant=True)
+        self._nodes.append(node)
+        return node
+
+    def _record(self, value: np.ndarray, *operands: Value) -> Value:
+        node = Value(value, self, constant=all(v.constant for v in operands))
         self._nodes.append(node)
         return node
 
@@ -132,10 +163,10 @@ class Tape:
         if self._consumed:
             raise InputError("backward: this tape was already consumed by an earlier backward")
         self._consumed = True
-        root.grad = root.grad + np.ones_like(root.value)
+        root._grad = root.grad + np.ones_like(root.value)
         try:
             for node in reversed(self._nodes):
-                if node._backward is not None and node.grad.any():
+                if node._backward is not None and node._grad is not None and node._grad.any():
                     node._backward()
         finally:
             # each adjoint closure holds its own node, and the tape holds them all
@@ -150,6 +181,21 @@ def _join(a: Value, b: Value) -> Tape:
     return a.tape
 
 
+def _accumulate(node: Value, delta: np.ndarray, owned: bool = False) -> None:
+    """node.grad += delta; a constant takes nothing.
+
+    The first write stores 0.0 + delta: the bits of a zero-filled buffer
+    plus delta, signed zeros included. owned says that delta is a temporary
+    of the caller's, which then becomes the buffer.
+    """
+    if node.constant:
+        return
+    if node._grad is None:
+        node._grad = np.add(delta, 0.0, out=delta if owned else None)
+    else:
+        node._grad += delta
+
+
 # ---------------------------------------------------------------------------
 # operations
 
@@ -159,11 +205,13 @@ def matmul(a: Value, b: Value) -> Value:
     tape = _join(a, b)
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    out = tape._record(a.value @ b.value)
+    out = tape._record(a.value @ b.value, a, b)
 
     def backward():
-        a.grad += out.grad @ b.value.T
-        b.grad += a.value.T @ out.grad
+        if not a.constant:
+            _accumulate(a, out._grad @ b.value.T, owned=True)
+        if not b.constant:
+            _accumulate(b, a.value.T @ out._grad, owned=True)
 
     out._backward = backward
     return out
@@ -177,11 +225,11 @@ def _require_same_shape(op: str, a: Value, b: Value) -> None:
 def add(a: Value, b: Value) -> Value:
     tape = _join(a, b)
     _require_same_shape("add", a, b)
-    out = tape._record(a.value + b.value)
+    out = tape._record(a.value + b.value, a, b)
 
     def backward():
-        a.grad += out.grad
-        b.grad += out.grad
+        _accumulate(a, out._grad)
+        _accumulate(b, out._grad)
 
     out._backward = backward
     return out
@@ -190,11 +238,12 @@ def add(a: Value, b: Value) -> Value:
 def sub(a: Value, b: Value) -> Value:
     tape = _join(a, b)
     _require_same_shape("sub", a, b)
-    out = tape._record(a.value - b.value)
+    out = tape._record(a.value - b.value, a, b)
 
     def backward():
-        a.grad += out.grad
-        b.grad -= out.grad
+        _accumulate(a, out._grad)
+        if not b.constant:  # x + (-g) rounds as x - g
+            _accumulate(b, -out._grad, owned=True)
 
     out._backward = backward
     return out
@@ -203,10 +252,10 @@ def sub(a: Value, b: Value) -> Value:
 def scale(a: Value, s: float) -> Value:
     """Multiply every entry by the constant s."""
     s = float(s)
-    out = a.tape._record(a.value * s)
+    out = a.tape._record(a.value * s, a)
 
     def backward():
-        a.grad += out.grad * s
+        _accumulate(a, out._grad * s, owned=True)
 
     out._backward = backward
     return out
@@ -216,21 +265,23 @@ def hadamard(a: Value, b: Value) -> Value:
     """Elementwise product."""
     tape = _join(a, b)
     _require_same_shape("hadamard", a, b)
-    out = tape._record(a.value * b.value)
+    out = tape._record(a.value * b.value, a, b)
 
     def backward():
-        a.grad += out.grad * b.value
-        b.grad += out.grad * a.value
+        if not a.constant:
+            _accumulate(a, out._grad * b.value, owned=True)
+        if not b.constant:
+            _accumulate(b, out._grad * a.value, owned=True)
 
     out._backward = backward
     return out
 
 
 def exp(a: Value) -> Value:
-    out = a.tape._record(np.exp(a.value))
+    out = a.tape._record(np.exp(a.value), a)
 
     def backward():
-        a.grad += out.grad * out.value
+        _accumulate(a, out._grad * out.value, owned=True)
 
     out._backward = backward
     return out
@@ -241,10 +292,10 @@ def log(a: Value) -> Value:
     if a.value.size and np.min(a.value) <= 0.0:
         i, j = np.argwhere(a.value <= 0.0)[0]
         raise DomainError(f"log: nonpositive entry {a.value[i, j]!r} at ({i}, {j})")
-    out = a.tape._record(np.log(a.value))
+    out = a.tape._record(np.log(a.value), a)
 
     def backward():
-        a.grad += out.grad / a.value
+        _accumulate(a, out._grad / a.value, owned=True)
 
     out._backward = backward
     return out
@@ -256,12 +307,12 @@ def sqrt(a: Value) -> Value:
         i, j = np.argwhere(a.value < 0.0)[0]
         raise DomainError(f"sqrt: negative entry {a.value[i, j]!r} at ({i}, {j})")
     root = np.sqrt(a.value)
-    out = a.tape._record(root)
+    out = a.tape._record(root, a)
 
     def backward():
         with np.errstate(divide="ignore"):
             factor = np.where(a.value > 0.0, 0.5 / root, 0.0)
-        a.grad += out.grad * factor
+        _accumulate(a, out._grad * factor, owned=True)
 
     out._backward = backward
     return out
@@ -270,27 +321,22 @@ def sqrt(a: Value) -> Value:
 def clamp_min(a: Value, floor: float) -> Value:
     """max(a, floor) elementwise; gradient passes only where a > floor."""
     floor = float(floor)
-    out = a.tape._record(np.maximum(a.value, floor))
+    out = a.tape._record(np.maximum(a.value, floor), a)
 
     def backward():
-        a.grad += out.grad * (a.value > floor)
+        _accumulate(a, out._grad * (a.value > floor), owned=True)
 
     out._backward = backward
     return out
 
 
-def leaky_relu_array(x: np.ndarray, slope: float = 0.01) -> np.ndarray:
-    """x for x > 0, slope * x otherwise, on a plain array."""
-    return np.where(x > 0.0, x, float(slope) * x)
-
-
 def leaky_relu(a: Value, slope: float = 0.01) -> Value:
     """x for x > 0, slope * x otherwise."""
     slope = float(slope)
-    out = a.tape._record(leaky_relu_array(a.value, slope))
+    out = a.tape._record(np.where(a.value > 0.0, a.value, slope * a.value), a)
 
     def backward():
-        a.grad += out.grad * np.where(a.value > 0.0, 1.0, slope)
+        _accumulate(a, out._grad * np.where(a.value > 0.0, 1.0, slope), owned=True)
 
     out._backward = backward
     return out
@@ -305,12 +351,12 @@ def softmax_rows_array(x: np.ndarray) -> np.ndarray:
 def softmax_rows(a: Value) -> Value:
     """Row-wise softmax, computed with the usual max-shift for stability."""
     s = softmax_rows_array(a.value)
-    out = a.tape._record(s)
+    out = a.tape._record(s, a)
 
     def backward():
         # ds_ij/da_ik = s_ij (delta_jk - s_ik)
-        inner = (out.grad * s).sum(axis=1, keepdims=True)
-        a.grad += s * (out.grad - inner)
+        inner = (out._grad * s).sum(axis=1, keepdims=True)
+        _accumulate(a, s * (out._grad - inner), owned=True)
 
     out._backward = backward
     return out
@@ -318,10 +364,10 @@ def softmax_rows(a: Value) -> Value:
 
 def sum_all(a: Value) -> Value:
     """Sum of all entries, as a 1x1 matrix."""
-    out = a.tape._record(np.array([[a.value.sum()]]))
+    out = a.tape._record(np.array([[a.value.sum()]]), a)
 
     def backward():
-        a.grad += out.grad[0, 0]
+        _accumulate(a, np.full(a.shape, out._grad[0, 0]), owned=True)
 
     out._backward = backward
     return out
@@ -332,20 +378,20 @@ def trace(a: Value) -> Value:
     n, m = a.shape
     if n != m:
         raise DimensionError(f"trace: matrix must be square, got {a.shape}")
-    out = a.tape._record(np.array([[np.trace(a.value)]]))
+    out = a.tape._record(np.array([[np.trace(a.value)]]), a)
 
     def backward():
-        a.grad += out.grad[0, 0] * np.eye(n)
+        _accumulate(a, out._grad[0, 0] * np.eye(n), owned=True)
 
     out._backward = backward
     return out
 
 
 def transpose(a: Value) -> Value:
-    out = a.tape._record(a.value.T.copy())
+    out = a.tape._record(a.value.T.copy(), a)
 
     def backward():
-        a.grad += out.grad.T
+        _accumulate(a, out._grad.T)
 
     out._backward = backward
     return out
@@ -363,10 +409,14 @@ def take(a: Value, rows, cols=None) -> Value:
         raise DimensionError(f"take: expected one 1-D index array per axis, got rows "
                              f"{rows.shape} and cols {None if cols is None else index[1].shape}")
     picked = a.value[index]
-    out = a.tape._record(picked if cols is None else picked.reshape(-1, 1))
+    out = a.tape._record(picked if cols is None else picked.reshape(-1, 1), a)
 
     def backward():
-        np.add.at(a.grad, index, out.grad if cols is None else out.grad[:, 0])
+        if a.constant:
+            return
+        if a._grad is None:
+            a._grad = np.zeros_like(a.value)
+        np.add.at(a._grad, index, out._grad if cols is None else out._grad[:, 0])
 
     out._backward = backward
     return out
@@ -383,10 +433,10 @@ def center(a: Value) -> Value:
     Subtracts the column means, then the row means of what is left. The
     centering matrices are symmetric, so the op is its own adjoint.
     """
-    out = a.tape._record(_centered(a.value))
+    out = a.tape._record(_centered(a.value), a)
 
     def backward():
-        a.grad += _centered(out.grad)
+        _accumulate(a, _centered(out._grad), owned=True)
 
     out._backward = backward
     return out
@@ -397,11 +447,12 @@ def add_rowvec(a: Value, b: Value) -> Value:
     tape = _join(a, b)
     if b.shape[0] != 1 or b.shape[1] != a.shape[1]:
         raise DimensionError(f"add_rowvec: expected (1, {a.shape[1]}) row, got {b.shape}")
-    out = tape._record(a.value + b.value)
+    out = tape._record(a.value + b.value, a, b)
 
     def backward():
-        a.grad += out.grad
-        b.grad += out.grad.sum(axis=0, keepdims=True)
+        _accumulate(a, out._grad)
+        if not b.constant:
+            _accumulate(b, out._grad.sum(axis=0, keepdims=True), owned=True)
 
     out._backward = backward
     return out
@@ -413,11 +464,11 @@ def vstack(a: Value, b: Value) -> Value:
     if a.shape[1] != b.shape[1]:
         raise DimensionError(f"vstack: column counts differ, {a.shape} vs {b.shape}")
     n = a.shape[0]
-    out = tape._record(np.vstack([a.value, b.value]))
+    out = tape._record(np.vstack([a.value, b.value]), a, b)
 
     def backward():
-        a.grad += out.grad[:n]
-        b.grad += out.grad[n:]
+        _accumulate(a, out._grad[:n])
+        _accumulate(b, out._grad[n:])
 
     out._backward = backward
     return out
@@ -435,12 +486,14 @@ def pairwise_sqdist(a: Value, b: Value) -> Value:
     av, bv = a.value, b.value
     sq = (av * av).sum(axis=1, keepdims=True) + (bv * bv).sum(axis=1) - 2.0 * (av @ bv.T)
     np.maximum(sq, 0.0, out=sq)
-    out = tape._record(sq)
+    out = tape._record(sq, a, b)
 
     def backward():
-        g = out.grad
-        a.grad += 2.0 * (g.sum(axis=1, keepdims=True) * av - g @ bv)
-        b.grad += 2.0 * (g.sum(axis=0)[:, None] * bv - g.T @ av)
+        g = out._grad
+        if not a.constant:
+            _accumulate(a, 2.0 * (g.sum(axis=1, keepdims=True) * av - g @ bv), owned=True)
+        if not b.constant:
+            _accumulate(b, 2.0 * (g.sum(axis=0)[:, None] * bv - g.T @ av), owned=True)
 
     out._backward = backward
     return out
@@ -473,10 +526,10 @@ def triplet_hinge(d: Value, labels, margin: float) -> Value:
         total += expr[active].sum()
         counts[np.ix_(own, own)] = active.sum(axis=2)
         counts[np.ix_(own, other)] = -active.sum(axis=1)
-    out = d.tape._record(np.array([[total]]))
+    out = d.tape._record(np.array([[total]]), d)
 
     def backward():
-        d.grad += out.grad[0, 0] * counts
+        _accumulate(d, out._grad[0, 0] * counts, owned=True)
 
     out._backward = backward
     return out
@@ -495,13 +548,13 @@ def nuclear_norm(a: Value) -> Value:
         raise NumericalError(
             f"nuclear_norm: SVD failed to converge for {a.shape} matrix "
             f"within the LAPACK iteration limit ({err})") from err
-    out = a.tape._record(np.array([[s.sum()]]))
+    out = a.tape._record(np.array([[s.sum()]]), a)
 
     def backward():
         if s.size == 0 or s[0] <= 0.0:
             return  # zero matrix: subgradient 0
         keep = s > EPS_RANK * s[0]
-        a.grad += out.grad[0, 0] * (u[:, keep] @ vt[keep, :])
+        _accumulate(a, out._grad[0, 0] * (u[:, keep] @ vt[keep, :]), owned=True)
 
     out._backward = backward
     return out

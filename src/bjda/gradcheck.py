@@ -115,7 +115,7 @@ def run_all(seed: int = 0) -> list[CheckResult]:
 def _weighted(op: Callable[..., Value], weights: np.ndarray):
     """Contract an op's matrix output to a scalar against fixed weights."""
     def build(tape: Tape, leaves: Sequence[Value]) -> Value:
-        return (op(tape, leaves) * tape.leaf(weights, "w")).sum()
+        return (op(tape, leaves) * tape.constant(weights, "w")).sum()
     return build
 
 
@@ -300,7 +300,8 @@ def _end_to_end_case(rng: np.random.Generator) -> CheckCase:
 
     Pseudo-labels, margin entropies, and prototypes are frozen at the base
     point by the trainer's own batch_constants, exactly as one iteration
-    treats them.
+    treats them, and the input rows go on the tape as constants, as train()
+    records them.
     """
     dims = ModelDims(4, 6, 5, 3)
     cfg = TrainConfig(kernel=KernelSpec("gaussian", bandwidth_sq=2.0))
@@ -309,8 +310,8 @@ def _end_to_end_case(rng: np.random.Generator) -> CheckCase:
     ys = np.array([0, 0, 1, 1, 2, 2])
 
     def forward(tape, leaves, xs, xt):
-        g_s = forward_g(leaves, tape.leaf(xs, "xs"))
-        g_t = forward_g(leaves, tape.leaf(xt, "xt"))
+        g_s = forward_g(leaves, tape.constant(xs, "xs"))
+        g_t = forward_g(leaves, tape.constant(xt, "xt"))
         return g_s, g_t, forward_f(leaves, g_s), forward_f(leaves, g_t)
 
     for attempt in range(500):

@@ -6,7 +6,8 @@ that combines them with these.
 Everything here returns 1x1 tape Values so the trainer can combine terms and
 run one backward pass. Quantities the gradient must NOT flow through
 (prediction probabilities used as margins, prototype coordinates, pseudo
-labels) are taken as plain arrays, never tape Values.
+labels) are taken as plain arrays, never tape Values, and go on the tape
+as constants.
 """
 from __future__ import annotations
 
@@ -101,7 +102,7 @@ def l_cls(pred_probs: Value, y_onehot: np.ndarray) -> Value:
         raise DimensionError(f"l_cls: labels {y.shape} do not match predictions {(n, c)}")
     if n == 0:
         raise InputError("l_cls: empty batch")
-    y_leaf = pred_probs.tape.leaf(y, "y_onehot")
+    y_leaf = pred_probs.tape.constant(y, "y_onehot")
     logp = ad.clamp_min(pred_probs, PROB_FLOOR).log()
     return ad.scale((logp * y_leaf).sum(), -1.0 / n)
 
@@ -140,9 +141,9 @@ def l_dmc(g: Value, labels: np.ndarray, pred_probs: np.ndarray,
     valid = own_present & other_present.any(axis=1)
     skipped = int(n - valid.sum())
     if not valid.any():
-        return tape.leaf(np.zeros((1, 1)), "l_dmc_zero"), skipped
+        return tape.constant(np.zeros((1, 1)), "l_dmc_zero"), skipped
 
-    dist = ad.pairwise_sqdist(g, tape.leaf(protos.vectors, "protos")).sqrt()
+    dist = ad.pairwise_sqdist(g, tape.constant(protos.vectors, "protos")).sqrt()
 
     # negative class: nearest *present* other-class prototype, on detached
     # distances, first index winning ties
@@ -154,7 +155,7 @@ def l_dmc(g: Value, labels: np.ndarray, pred_probs: np.ndarray,
     d_pos = ad.take(dist, rows, labels)
     d_neg = ad.take(dist, rows, np.where(valid, neg_idx, labels))
     margins = (entropy_margins(pred_probs) * valid).reshape(n, 1)
-    hinge = ad.clamp_min(d_pos - d_neg + tape.leaf(margins, "margins"), 0.0)
+    hinge = ad.clamp_min(d_pos - d_neg + tape.constant(margins, "margins"), 0.0)
     return ad.scale(hinge.sum(), 1.0 / (n - skipped)), skipped
 
 
@@ -176,7 +177,7 @@ def l_trip(g: Value, labels: np.ndarray, margin: float) -> tuple[Value, int]:
     if labels.shape[0] != n:
         raise DimensionError(f"l_trip: got {n} feature rows for {labels.shape[0]} labels")
     if np.unique(labels).size < 2:
-        return g.tape.leaf(np.zeros((1, 1)), "l_trip_zero"), 1
+        return g.tape.constant(np.zeros((1, 1)), "l_trip_zero"), 1
     dist = ad.pairwise_sqdist(g, g).sqrt()
     return ad.triplet_hinge(dist, labels, margin), 0
 

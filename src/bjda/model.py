@@ -80,9 +80,25 @@ def init_xavier(dims: ModelDims, seed: int) -> ModelParams:
     return ModelParams(dims, tensors)
 
 
+def check_finite(params: ModelParams, where: str) -> None:
+    """Raise NumericalError naming the first parameter with a non-finite entry."""
+    for name in PARAM_NAMES:
+        t = params.tensors[name]
+        if not np.isfinite(t).all():
+            i, j = np.argwhere(~np.isfinite(t))[0]
+            raise NumericalError(f"{where}: parameter {name} has a non-finite "
+                                 f"entry at ({i}, {j})")
+
+
 def make_leaves(tape: Tape, params: ModelParams) -> dict[str, Value]:
-    """Record every parameter tensor on the tape; grads land in leaf.grad."""
-    return {name: tape.leaf(params.tensors[name], name) for name in PARAM_NAMES}
+    """Record every parameter tensor on the tape; grads land in leaf.grad.
+
+    The leaves wrap params.tensors without a copy, so an update made after
+    backward shows through them. A non-finite parameter (a diverged SGD
+    step) raises NumericalError naming it.
+    """
+    check_finite(params, "make_leaves")
+    return {name: tape.leaf(params.tensors[name], name, copy=False) for name in PARAM_NAMES}
 
 
 def forward_g(leaves: dict[str, Value], x: Value, slope: float = 0.01) -> Value:
@@ -99,23 +115,32 @@ def forward_f(leaves: dict[str, Value], g: Value) -> Value:
 def predict_probs(params: ModelParams, x: np.ndarray, slope: float = 0.01) -> np.ndarray:
     """Inference-only forward pass on plain arrays: no tape, no grad buffers.
 
-    Runs the arithmetic of forward_g and forward_f op for op, so the result
-    equals the tape's forward bit for bit. x gets the checks a tape leaf
-    gives it; a non-finite parameter raises NumericalError naming it.
+    x gets the checks a tape leaf gives it; a non-finite parameter raises
+    NumericalError naming it. The pass is forward_probs.
     """
     x = ad.as_matrix(x, "x")
-    t = params.tensors
-    if x.shape[1] != t["w1"].shape[0]:
+    if x.shape[1] != params.tensors["w1"].shape[0]:
         raise DimensionError(f"predict_probs: x has {x.shape[1]} columns, "
-                             f"the model takes {t['w1'].shape[0]}")
-    for name in PARAM_NAMES:
-        if not np.all(np.isfinite(t[name])):
-            i, j = np.argwhere(~np.isfinite(t[name]))[0]
-            raise NumericalError(f"predict_probs: parameter {name} has a non-finite "
-                                 f"entry at ({i}, {j})")
-    h = ad.leaky_relu_array(x @ t["w1"] + t["b1"], slope)
-    g = h @ t["w2"] + t["b2"]
-    return ad.softmax_rows_array(g @ t["wc"] + t["bc"])
+                             f"the model takes {params.tensors['w1'].shape[0]}")
+    check_finite(params, "predict_probs")
+    return forward_probs(params.tensors, x, slope)
+
+
+def forward_probs(tensors: dict[str, np.ndarray], x: np.ndarray, slope: float = 0.01,
+                  h: np.ndarray | None = None, g: np.ndarray | None = None) -> np.ndarray:
+    """forward_f(forward_g(x)) on plain, unchecked arrays.
+
+    Runs the arithmetic of forward_g and forward_f op for op, so the result
+    equals the tape's forward bit for bit: the leaky slope applied in place
+    where h <= 0 gives the bits of autodiff.leaky_relu. h (rows x hidden) and g
+    (rows x feat), when given, are buffers the pass writes into.
+    """
+    h = np.matmul(x, tensors["w1"], out=h)
+    h += tensors["b1"]
+    np.multiply(h, float(slope), out=h, where=h <= 0.0)
+    g = np.matmul(h, tensors["w2"], out=g)
+    g += tensors["b2"]
+    return ad.softmax_rows_array(g @ tensors["wc"] + tensors["bc"])
 
 
 def hard_pseudo_labels(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from concurrent.futures import ThreadPoolExecutor
 
@@ -24,8 +25,8 @@ from .data import Dataset
 from .errors import ConfigError, DimensionError, InputError, NumericalError
 from .kernels import KernelSpec, kbw_sq, optimal_assignment, pairwise_sqdist_matrix
 from .losses import LossBreakdown, Prototypes, one_hot
-from .model import (ModelDims, ModelParams, forward_f, forward_g,
-                    hard_pseudo_labels, init_xavier, make_leaves, predict_probs)
+from .model import (ModelDims, ModelParams, check_finite, forward_f, forward_g, forward_probs,
+                    hard_pseudo_labels, init_xavier, make_leaves)
 
 VARIANTS = ("full", "no_da", "no_dmc", "triplet", "source_only", "wd")
 
@@ -164,12 +165,20 @@ class EpochSampler:
 
 
 def sgd_update(theta: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
-               lr: float, momentum: float, weight_decay: float) -> None:
-    """In place: v <- momentum v + grad + weight_decay theta; theta <- theta - lr v."""
+               lr: float, momentum: float, weight_decay: float,
+               scratch: np.ndarray | None = None) -> None:
+    """In place: v <- momentum v + grad + weight_decay theta; theta <- theta - lr v.
+
+    scratch, an array of theta's shape, holds the two products in turn, so a
+    caller that passes one allocates nothing here. The operations and their
+    order are the formula's either way, and so are the bits.
+    """
+    if scratch is None:
+        scratch = np.empty_like(theta)
     velocity *= momentum
     velocity += grad
-    velocity += weight_decay * theta
-    theta -= lr * velocity
+    velocity += np.multiply(theta, weight_decay, out=scratch)
+    theta -= np.multiply(velocity, lr, out=scratch)
 
 
 def _check_pair(source: Dataset, target: Dataset) -> None:
@@ -207,7 +216,7 @@ def l_da(g_s: Value, y_s_onehot: np.ndarray, g_t: Value, y_t_soft: Value | None,
         raise DimensionError(
             f"l_da: class counts differ, {y_s_onehot.shape} vs {y_t_soft.shape}")
     feat = kbw_sq(g_s, g_t, spec, tape)
-    label = kbw_sq(tape.leaf(y_s_onehot, "y_s"), y_t_soft, spec, tape)
+    label = kbw_sq(tape.constant(y_s_onehot, "y_s"), y_t_soft, spec, tape)
     return feat + label
 
 
@@ -222,7 +231,8 @@ def _wd_loss(g_s: Value, g_t: Value, y_s_1h: np.ndarray, probs_t: Value) -> Valu
     cols, _ = optimal_assignment(cost)
     rows = np.arange(cost.shape[0])
     feat = ad.take(ad.pairwise_sqdist(g_s, g_t), rows, cols).sum()
-    label = ad.take(ad.pairwise_sqdist(g_s.tape.leaf(y_s_1h, "y_s"), probs_t), rows, cols).sum()
+    label = ad.take(ad.pairwise_sqdist(g_s.tape.constant(y_s_1h, "y_s"), probs_t),
+                    rows, cols).sum()
     return ad.scale(feat + label, 1.0 / rows.shape[0])
 
 
@@ -304,6 +314,41 @@ def objective(cfg: TrainConfig, g_s: Value, g_t: Value, probs_s: Value, probs_t:
         total=total.item())
 
 
+def _step(cfg: TrainConfig, params: ModelParams, scratch: dict[str, np.ndarray],
+          protos: Prototypes, metrics: RunMetrics, it: int,
+          xs: np.ndarray, ys: np.ndarray,
+          xt: np.ndarray) -> tuple[LossBreakdown, float | None, dict[str, Value]]:
+    """One iteration: forward, objective, backward and SGD step. Returns the
+    loss breakdown, the pl acceptance share and the parameter leaves, whose
+    grads the backward made last. Everything else on the tape dies with the
+    call."""
+    tape = Tape()
+    try:
+        leaves = make_leaves(tape, params)
+    except NumericalError as err:  # the previous step's update made it
+        raise NumericalError(f"{err}, at iteration {it}; the run diverged") from err
+    g_s = forward_g(leaves, tape.constant(xs, "x_s"), cfg.leaky_slope)
+    g_t = forward_g(leaves, tape.constant(xt, "x_t"), cfg.leaky_slope)
+    # squared norms must stay clear of the float64 overflow line (~1e308)
+    peak = max(np.abs(g_s.value).max(initial=0.0), np.abs(g_t.value).max(initial=0.0))
+    if not math.isfinite(peak) or peak > 1e100:
+        raise NumericalError(f"feature magnitudes blew up at iteration {it}; the run diverged")
+    probs_s = forward_f(leaves, g_s)
+    probs_t = forward_f(leaves, g_t)
+
+    const = batch_constants(cfg, g_s, probs_s, probs_t, ys, protos)
+    pl_accept = const.keep.shape[0] / xt.shape[0] if cfg.pl else None
+    loss, breakdown = objective(cfg, g_s, g_t, probs_s, probs_t, const, metrics)
+    if not math.isfinite(breakdown.total):
+        raise NumericalError(f"non-finite loss {breakdown.total!r} at iteration {it}")
+
+    tape.backward(loss)
+    for name in leaves:
+        sgd_update(params.tensors[name], leaves[name].grad, params.velocities[name],
+                   cfg.lr, cfg.momentum, cfg.weight_decay, scratch[name])
+    return breakdown, pl_accept, leaves
+
+
 def train(source: Dataset, target: Dataset,
           cfg: TrainConfig = TrainConfig()) -> tuple[ModelParams, RunMetrics]:
     """Run the adaptation loop; returns final parameters and per-iteration metrics."""
@@ -319,37 +364,27 @@ def train(source: Dataset, target: Dataset,
     protos = Prototypes(c_count, cfg.feat_dim, cfg.proto_mode, cfg.ema_decay)
     metrics = RunMetrics()
     has_target_labels = bool(np.any(target.labels >= 0))
+    # one SGD scratch buffer per run, viewed at each tensor's shape
+    flat = np.empty(max(t.size for t in params.tensors.values()))
+    scratch = {name: flat[:t.size].reshape(t.shape) for name, t in params.tensors.items()}
 
+    # The previous step's leaves, and with them its parameter grads, are let
+    # go only once the next step has made its own. Were every array of a step
+    # freed when it returns, the top of the C heap would empty, and malloc
+    # would hand it back to the kernel and fault it in again on the next step:
+    # ~400 page faults per iteration at 128/64 in some runs and almost none in
+    # others, as the heap's layout falls.
+    held = None
     for it in range(1, cfg.t_max + 1):
         idx_s = sampler_s.next()
         idx_t = sampler_t.next()
-        xs, ys = source.features[idx_s], source.labels[idx_s]
-        xt = target.features[idx_t]
-
-        tape = Tape()
-        leaves = make_leaves(tape, params)
-        g_s = forward_g(leaves, tape.leaf(xs, "x_s"), cfg.leaky_slope)
-        g_t = forward_g(leaves, tape.leaf(xt, "x_t"), cfg.leaky_slope)
-        # squared norms must stay clear of the float64 overflow line (~1e308)
-        peak = max(np.abs(g_s.value).max(initial=0.0), np.abs(g_t.value).max(initial=0.0))
-        if not math.isfinite(peak) or peak > 1e100:
-            raise NumericalError(f"feature magnitudes blew up at iteration {it}; the run diverged")
-        probs_s = forward_f(leaves, g_s)
-        probs_t = forward_f(leaves, g_t)
-
-        const = batch_constants(cfg, g_s, probs_s, probs_t, ys, protos)
-        pl_accept = const.keep.shape[0] / idx_t.shape[0] if cfg.pl else None
-        loss, breakdown = objective(cfg, g_s, g_t, probs_s, probs_t, const, metrics)
-        if not math.isfinite(breakdown.total):
-            raise NumericalError(f"non-finite loss {breakdown.total!r} at iteration {it}")
-
-        tape.backward(loss)
-        for name in leaves:
-            sgd_update(params.tensors[name], leaves[name].grad,
-                       params.velocities[name], cfg.lr, cfg.momentum, cfg.weight_decay)
+        breakdown, pl_accept, held = _step(cfg, params, scratch, protos, metrics, it,
+                                           source.features[idx_s], source.labels[idx_s],
+                                           target.features[idx_t])
 
         target_acc = None
         if has_target_labels and (it % cfg.eval_every == 0 or it == cfg.t_max):
+            held = None  # evaluate's buffers take the grads' place
             target_acc = evaluate(params, target, cfg.leaky_slope).accuracy
 
         metrics.records.append(IterationRecord(it, breakdown, target_acc, pl_accept))
@@ -361,13 +396,53 @@ def _no_labels(data: Dataset) -> InputError:
     return InputError(f"evaluate: dataset {data.name!r} has no labeled rows")
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def evaluate(params: ModelParams, data: Dataset, leaky_slope: float = 0.01,
              chunk: int = 1024) -> EvalResult:
-    """Accuracy over the labeled rows; unlabeled rows are excluded and counted."""
-    preds = np.empty(len(data), dtype=np.int64)
-    for start in range(0, len(data), chunk):
-        probs = predict_probs(params, data.features[start:start + chunk], leaky_slope)
-        preds[start:start + chunk] = hard_pseudo_labels(probs)[0]
+    """Accuracy over the labeled rows; unlabeled rows are excluded and counted.
+
+    Rows are predicted chunk by chunk with model.forward_probs, on
+    min(chunks, usable CPUs) workers: the calling thread plus a pool, since
+    numpy releases the GIL inside BLAS. Each worker reuses one pair of
+    hidden/feature buffers. A chunk's arithmetic does not depend on the
+    worker that runs it, so neither do the predictions. A non-finite
+    parameter raises NumericalError naming it.
+    """
+    check_finite(params, "evaluate")
+    if data.dim != params.dims.input_dim:
+        raise DimensionError(f"evaluate: dataset {data.name!r} has {data.dim} columns, "
+                             f"the model takes {params.dims.input_dim}")
+    n = len(data)
+    starts = range(0, n, chunk)
+    workers = max(1, min(len(starts), _usable_cpus()))
+    preds = np.empty(n, dtype=np.int64)
+
+    def predict(first: int) -> None:
+        rows = min(chunk, n)
+        h = np.empty((rows, params.dims.hidden))
+        g = np.empty((rows, params.dims.feat))
+        for start in starts[first::workers]:
+            x = data.features[start:start + chunk]
+            k = x.shape[0]
+            probs = forward_probs(params.tensors, x, leaky_slope, h[:k], g[:k])
+            preds[start:start + k] = hard_pseudo_labels(probs)[0]
+
+    if workers == 1:
+        predict(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            others = [pool.submit(predict, first) for first in range(1, workers)]
+            predict(0)
+            for done in others:
+                done.result()
+
     labeled = data.labels >= 0
     n_unlabeled = int((~labeled).sum())
     if not labeled.any():

@@ -347,6 +347,72 @@ def test_sqrt_zero_entry_gets_zero_subgradient():
 
 
 # ---------------------------------------------------------------------------
+# lazy grad buffers and constants
+
+
+def test_grad_buffers_are_made_only_where_an_adjoint_writes():
+    tape = Tape()
+    v = tape.leaf(np.ones((2, 2)))
+    used = ad.scale(v, 3.0).sum()
+    unused = ad.exp(v)
+    assert v._grad is None and used._grad is None
+    tape.backward(used)
+    assert unused._grad is None
+    assert v._grad is not None
+
+
+def test_first_write_keeps_the_zero_buffers_signed_zeros():
+    # 0.0 + (-0.0) is +0.0: a lazy buffer must round like the zero buffer did
+    tape = Tape()
+    v = tape.leaf([[1.0, 2.0]])
+    out = ad.scale(ad.hadamard(v, tape.constant([[0.0, 1.0]])).sum(), -1.0)
+    tape.backward(out)
+    assert np.array_equal(v.grad, [[0.0, -1.0]])
+    assert not np.signbit(v.grad[0, 0])
+
+
+@pytest.mark.parametrize("op", [ad.matmul, ad.pairwise_sqdist], ids=["matmul", "pairwise_sqdist"])
+@pytest.mark.parametrize("constant_side", [0, 1])
+def test_a_constant_operand_leaves_the_other_grad_bitwise_unchanged(op, constant_side):
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(5, 4))
+    b = rng.normal(size=(4, 4))
+    weights = rng.normal(size=(5, 4))
+
+    def grads(constant):
+        tape = Tape()
+        pair = [tape.leaf(a, "a"), tape.leaf(b, "b")]
+        if constant:
+            pair[constant_side] = tape.constant((a, b)[constant_side], "c")
+        out = op(*pair)
+        tape.backward((out * tape.constant(weights, "w")).sum())
+        return pair
+
+    leaves, mixed = grads(False), grads(True)
+    other = 1 - constant_side
+    assert np.array_equal(mixed[other].grad, leaves[other].grad)
+    assert mixed[constant_side]._grad is None
+    assert np.array_equal(mixed[constant_side].grad, np.zeros_like(mixed[constant_side].value))
+    assert leaves[constant_side].grad.any()
+
+
+def test_ops_on_constants_record_constants():
+    tape = Tape()
+    c = tape.constant(np.ones((2, 2)), "c")
+    v = tape.leaf(np.ones((2, 2)))
+    assert ad.exp(ad.scale(c, 2.0)).constant
+    assert not ad.add(c, v).constant
+    assert not tape.leaf(np.ones((1, 1))).constant
+
+
+def test_a_leaf_made_without_copy_aliases_its_array():
+    x = np.ones((2, 2))
+    v = Tape().leaf(x, "x", copy=False)
+    assert v.value is x
+    assert Tape().leaf(x, "x").value is not x
+
+
+# ---------------------------------------------------------------------------
 # finite differences per op (the heavier sweep lives in gradcheck; this is a
 # quick regression net over representative shapes)
 

@@ -45,6 +45,25 @@ def test_synth_writes_identical_files_per_seed(tmp_path, capsys):
                (tmp_path / "b" / name).read_bytes()
 
 
+def test_train_exits_4_when_a_parameter_turns_non_finite(data_dir, tmp_path, capsys,
+                                                        monkeypatch):
+    train_module = importlib.import_module("bjda.train")
+    real_init = train_module.init_xavier
+
+    def poisoned(dims, seed):
+        params = real_init(dims, seed)
+        params.tensors["w2"][1, 0] = np.nan
+        return params
+
+    monkeypatch.setattr(train_module, "init_xavier", poisoned)
+    code = main(["train", "--source", str(data_dir / "source.csv"),
+                 "--target", str(data_dir / "target.csv"),
+                 "--out", str(tmp_path / "run")] + FAST)
+    assert code == 4
+    assert ("numerical error: make_leaves: parameter w2 has a non-finite entry at (1, 0)"
+            in capsys.readouterr().err)
+
+
 def test_synth_rejects_single_class(tmp_path, capsys):
     code = main(["synth", "--classes", "1", "--out", str(tmp_path / "x")])
     assert code == 2

@@ -174,6 +174,19 @@ def test_predict_probs_names_a_non_finite_parameter():
         predict_probs(params, np.zeros((3, 3)))
 
 
+def test_make_leaves_wraps_the_parameters_without_a_copy():
+    params = init_xavier(DIMS, 0)
+    leaves = make_leaves(Tape(), params)
+    assert all(leaves[n].value is params.tensors[n] for n in PARAM_NAMES)
+
+
+def test_make_leaves_names_a_non_finite_parameter_as_a_numerical_failure():
+    params = init_xavier(DIMS, 0)
+    params.tensors["w2"][0, 2] = np.nan
+    with pytest.raises(NumericalError, match=r"make_leaves: parameter w2 .*\(0, 2\)"):
+        make_leaves(Tape(), params)
+
+
 # ---------------------------------------------------------------- labels
 
 def test_hard_pseudo_labels_pick_argmax_and_confidence():

@@ -1,7 +1,11 @@
 """Training loop, SGD semantics, evaluation, and the variant sweep."""
 import functools
+import importlib
 import json
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,8 +14,8 @@ from bjda.autodiff import Tape
 from bjda.data import Dataset, SynthSpec, gen_rotated_blobs
 from bjda.errors import ConfigError, InputError, NumericalError
 from bjda.losses import one_hot
-from bjda.model import (ModelDims, forward_f, forward_g, hard_pseudo_labels,
-                        init_xavier, make_leaves)
+from bjda.model import (PARAM_NAMES, ModelDims, forward_f, forward_g, hard_pseudo_labels,
+                        init_xavier, make_leaves, predict_probs)
 from bjda.train import (
     EpochSampler,
     TrainConfig,
@@ -69,6 +73,17 @@ def test_weight_decay_shrinks_weights_monotonically():
         sgd_update(theta, zero, velocity, 0.01, 0.9, 0.5)
         norms.append(np.linalg.norm(theta))
     assert all(b < a for a, b in zip(norms, norms[1:]))
+
+
+def test_sgd_scratch_gives_the_formulas_bits():
+    rng = np.random.default_rng(3)
+    theta, grad, velocity = (rng.normal(size=(4, 5)) for _ in range(3))
+    expected_v = velocity * 0.9 + grad + 0.01 * theta
+    expected_theta = theta - 0.1 * expected_v
+    for scratch in (None, np.full((4, 5), np.nan)):
+        t, v = theta.copy(), velocity.copy()
+        sgd_update(t, grad, v, 0.1, 0.9, 0.01, scratch)
+        assert np.array_equal(v, expected_v) and np.array_equal(t, expected_theta)
 
 
 # ---------------------------------------------------------------- sampler
@@ -343,6 +358,28 @@ def test_evaluate_chunking_does_not_change_predictions():
         assert whole.accuracy == pieces.accuracy
 
 
+def test_evaluate_does_not_depend_on_the_worker_count(monkeypatch):
+    # three full chunks and a ragged one of 7 rows
+    rng = np.random.default_rng(8)
+    rows = 3 * 1024 + 7
+    labels = rng.integers(-1, 3, size=rows)
+    data = Dataset(rng.normal(size=(rows, 6)), labels, 3, "ragged")
+    params = init_xavier_params()
+    reference = np.concatenate([
+        hard_pseudo_labels(predict_probs(params, data.features[i:i + 1024]))[0]
+        for i in range(0, rows, 1024)])
+    train_module = importlib.import_module("bjda.train")
+    results = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda cpus=cpus: cpus)
+        results.append(evaluate(params, data))
+    for res in results:
+        assert np.array_equal(res.predictions, reference)
+        assert res.accuracy == results[0].accuracy
+        assert res.per_class == results[0].per_class
+        assert res.n_unlabeled == int((labels < 0).sum())
+
+
 # ---------------------------------------------------------------- suite
 
 def test_suite_cells_follow_requested_order_and_stats():
@@ -419,3 +456,36 @@ def test_suite_parallel_matches_serial():
                          variants=("source_only", "no_da"), seeds=(0, 1), jobs=4)
     assert [(c.variant, c.seed, c.accuracy) for c in serial.cells] == \
            [(c.variant, c.seed, c.accuracy) for c in threaded.cells]
+
+
+def test_concurrent_runs_match_serial_runs_bitwise():
+    # each run owns its SGD scratch and evaluate buffers: three runs at once,
+    # switching threads often, write what the same runs write one after the
+    # other. The tensors are wide enough that numpy drops the GIL inside the
+    # SGD products, so a scratch buffer shared between runs gets overwritten.
+    source, target = gen_rotated_blobs(SynthSpec(classes=3, dim=6, per_class=400,
+                                                 shift_angle=30.0, noise_sigma=0.25))
+    configs = [TrainConfig(variant="full", hidden_dim=512, feat_dim=256, t_max=30,
+                           batch_source=16, batch_target=16, eval_every=10, seed=seed)
+               for seed in (0, 1, 2)]
+
+    def outputs(run):
+        params, metrics = run
+        return metrics.to_jsonl(), b"".join(params.tensors[n].tobytes() for n in PARAM_NAMES)
+
+    serial = [outputs(train(source, target, cfg)) for cfg in configs]
+    start = threading.Barrier(len(configs))
+
+    def run(cfg):
+        start.wait(timeout=60)
+        return outputs(train(source, target, cfg))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(configs)) as pool:
+            futures = [pool.submit(run, cfg) for cfg in configs]
+            concurrent = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == serial
