@@ -16,7 +16,7 @@ from .model import (ModelDims, ModelParams, forward_f, forward_g,
                     hard_pseudo_labels, init_xavier, load_checkpoint,
                     make_leaves, predict_probs, save_checkpoint)
 from .train import (EvalResult, RunMetrics, SuiteResult, TrainConfig,
-                    evaluate, l_da, run_suite, sgd_update, train)
+                    evaluate, l_da, run_suite, sgd_update)
 
 __version__ = "0.1.0"
 
@@ -31,6 +31,6 @@ __all__ = [
     "hard_pseudo_labels", "init_xavier", "load_checkpoint", "make_leaves",
     "predict_probs", "save_checkpoint",
     "EvalResult", "RunMetrics", "SuiteResult", "TrainConfig",
-    "evaluate", "run_suite", "sgd_update", "train",
+    "evaluate", "run_suite", "sgd_update",
     "__version__",
 ]

@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 matrices.
 
-A Tape records every Value in creation order. backward(root) seeds the root
-gradient with ones and replays the stored adjoint rules in exact reverse
-creation order, accumulating into each Value's grad. There is no graph
-pruning and no topological sort: reverse tape order is already a valid
-evaluation order, and it keeps replays bitwise deterministic.
+A Tape records every Value in creation order. Each op computes its value and
+an adjoint rule backward(g), which takes the gradient g of the op's output
+and accumulates into its operands; Tape._record stores both as one node.
+backward(root) seeds the root gradient with ones and replays the rules in
+exact reverse creation order, passing each node its own grad. There is no
+graph pruning and no topological sort: reverse tape order is already a
+valid evaluation order, and it keeps replays bitwise deterministic.
 
 Grad buffers are lazy: a node has none until the first adjoint reaches it,
 the first write stores 0.0 + delta (so -0.0 becomes +0.0, as in a
@@ -16,13 +18,14 @@ operand, so training spends nothing on the gradient of its inputs. A leaf
 made with copy=False wraps the caller's array; the model's parameter leaves
 alias its tensors that way.
 
-backward consumes its tape. Once the reverse pass ends, every node drops its
-adjoint rule and the tape drops its node list, so no reference cycle is left
-and the tape is freed by reference counting as soon as the caller lets go of
-it; values and grads stay readable. A second backward on the same tape
-raises InputError. Inference needs no tape at all: model.forward_probs
-repeats the tape ops' forward arithmetic on plain arrays (it shares
-softmax_rows_array with softmax_rows), so it gives the same bits.
+backward consumes its tape. When the reverse pass ends, the tape drops its
+node list, so it is freed by reference counting once the caller lets go of
+it, and every node drops its adjoint rule, whose closure holds the op's
+operands, so a node the caller keeps does not hold the graph below it.
+Values and grads stay readable. A second backward raises InputError.
+Inference needs no tape at all: model.forward_probs repeats the tape ops'
+forward arithmetic on plain arrays (it shares softmax_rows_array with
+softmax_rows), so it gives the same bits.
 """
 from __future__ import annotations
 
@@ -60,17 +63,13 @@ class Value:
         self._grad: np.ndarray | None = None  # made by the first adjoint that reaches it
         self.constant = constant
         self.tape = tape
-        # the op that records this node sets it; its closure holds the operands
-        self._backward: Callable[[], None] | None = None
+        # backward(g) of the op that made this node, set by Tape._record
+        self._backward: Callable[[np.ndarray], None] | None = None
 
     @property
     def grad(self) -> np.ndarray:
         """The accumulated gradient; a zero matrix when none has reached the node."""
         return np.zeros_like(self.value) if self._grad is None else self._grad
-
-    @grad.setter
-    def grad(self, g: np.ndarray) -> None:
-        self._grad = g
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -147,8 +146,12 @@ class Tape:
         self._nodes.append(node)
         return node
 
-    def _record(self, value: np.ndarray, *operands: Value) -> Value:
+    def _record(self, value: np.ndarray, backward: Callable[[np.ndarray], None],
+                *operands: Value) -> Value:
+        """Append an op's output node. backward(g) receives the node's gradient
+        and accumulates the operands' adjoints; it runs once, during backward."""
         node = Value(value, self, constant=all(v.constant for v in operands))
+        node._backward = backward
         self._nodes.append(node)
         return node
 
@@ -166,10 +169,11 @@ class Tape:
         root._grad = root.grad + np.ones_like(root.value)
         try:
             for node in reversed(self._nodes):
-                if node._backward is not None and node._grad is not None and node._grad.any():
-                    node._backward()
+                if node._backward is not None and node._grad is not None:
+                    node._backward(node._grad)
         finally:
-            # each adjoint closure holds its own node, and the tape holds them all
+            # each adjoint closure holds its operands: drop them, so that a
+            # node the caller keeps does not keep the graph below it alive
             for node in self._nodes:
                 node._backward = None
             self._nodes = []
@@ -197,7 +201,7 @@ def _accumulate(node: Value, delta: np.ndarray, owned: bool = False) -> None:
 
 
 # ---------------------------------------------------------------------------
-# operations
+# operations: each records its value and backward(g) with tape._record
 
 
 def matmul(a: Value, b: Value) -> Value:
@@ -205,16 +209,14 @@ def matmul(a: Value, b: Value) -> Value:
     tape = _join(a, b)
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    out = tape._record(a.value @ b.value, a, b)
 
-    def backward():
+    def backward(g):
         if not a.constant:
-            _accumulate(a, out._grad @ b.value.T, owned=True)
+            _accumulate(a, g @ b.value.T, owned=True)
         if not b.constant:
-            _accumulate(b, a.value.T @ out._grad, owned=True)
+            _accumulate(b, a.value.T @ g, owned=True)
 
-    out._backward = backward
-    return out
+    return tape._record(a.value @ b.value, backward, a, b)
 
 
 def _require_same_shape(op: str, a: Value, b: Value) -> None:
@@ -225,66 +227,57 @@ def _require_same_shape(op: str, a: Value, b: Value) -> None:
 def add(a: Value, b: Value) -> Value:
     tape = _join(a, b)
     _require_same_shape("add", a, b)
-    out = tape._record(a.value + b.value, a, b)
 
-    def backward():
-        _accumulate(a, out._grad)
-        _accumulate(b, out._grad)
+    def backward(g):
+        _accumulate(a, g)
+        _accumulate(b, g)
 
-    out._backward = backward
-    return out
+    return tape._record(a.value + b.value, backward, a, b)
 
 
 def sub(a: Value, b: Value) -> Value:
     tape = _join(a, b)
     _require_same_shape("sub", a, b)
-    out = tape._record(a.value - b.value, a, b)
 
-    def backward():
-        _accumulate(a, out._grad)
+    def backward(g):
+        _accumulate(a, g)
         if not b.constant:  # x + (-g) rounds as x - g
-            _accumulate(b, -out._grad, owned=True)
+            _accumulate(b, -g, owned=True)
 
-    out._backward = backward
-    return out
+    return tape._record(a.value - b.value, backward, a, b)
 
 
 def scale(a: Value, s: float) -> Value:
     """Multiply every entry by the constant s."""
     s = float(s)
-    out = a.tape._record(a.value * s, a)
 
-    def backward():
-        _accumulate(a, out._grad * s, owned=True)
+    def backward(g):
+        _accumulate(a, g * s, owned=True)
 
-    out._backward = backward
-    return out
+    return a.tape._record(a.value * s, backward, a)
 
 
 def hadamard(a: Value, b: Value) -> Value:
     """Elementwise product."""
     tape = _join(a, b)
     _require_same_shape("hadamard", a, b)
-    out = tape._record(a.value * b.value, a, b)
 
-    def backward():
+    def backward(g):
         if not a.constant:
-            _accumulate(a, out._grad * b.value, owned=True)
+            _accumulate(a, g * b.value, owned=True)
         if not b.constant:
-            _accumulate(b, out._grad * a.value, owned=True)
+            _accumulate(b, g * a.value, owned=True)
 
-    out._backward = backward
-    return out
+    return tape._record(a.value * b.value, backward, a, b)
 
 
 def exp(a: Value) -> Value:
-    out = a.tape._record(np.exp(a.value), a)
+    e = np.exp(a.value)
 
-    def backward():
-        _accumulate(a, out._grad * out.value, owned=True)
+    def backward(g):
+        _accumulate(a, g * e, owned=True)
 
-    out._backward = backward
-    return out
+    return a.tape._record(e, backward, a)
 
 
 def log(a: Value) -> Value:
@@ -292,13 +285,11 @@ def log(a: Value) -> Value:
     if a.value.size and np.min(a.value) <= 0.0:
         i, j = np.argwhere(a.value <= 0.0)[0]
         raise DomainError(f"log: nonpositive entry {a.value[i, j]!r} at ({i}, {j})")
-    out = a.tape._record(np.log(a.value), a)
 
-    def backward():
-        _accumulate(a, out._grad / a.value, owned=True)
+    def backward(g):
+        _accumulate(a, g / a.value, owned=True)
 
-    out._backward = backward
-    return out
+    return a.tape._record(np.log(a.value), backward, a)
 
 
 def sqrt(a: Value) -> Value:
@@ -307,39 +298,33 @@ def sqrt(a: Value) -> Value:
         i, j = np.argwhere(a.value < 0.0)[0]
         raise DomainError(f"sqrt: negative entry {a.value[i, j]!r} at ({i}, {j})")
     root = np.sqrt(a.value)
-    out = a.tape._record(root, a)
 
-    def backward():
+    def backward(g):
         with np.errstate(divide="ignore"):
             factor = np.where(a.value > 0.0, 0.5 / root, 0.0)
-        _accumulate(a, out._grad * factor, owned=True)
+        _accumulate(a, g * factor, owned=True)
 
-    out._backward = backward
-    return out
+    return a.tape._record(root, backward, a)
 
 
 def clamp_min(a: Value, floor: float) -> Value:
     """max(a, floor) elementwise; gradient passes only where a > floor."""
     floor = float(floor)
-    out = a.tape._record(np.maximum(a.value, floor), a)
 
-    def backward():
-        _accumulate(a, out._grad * (a.value > floor), owned=True)
+    def backward(g):
+        _accumulate(a, g * (a.value > floor), owned=True)
 
-    out._backward = backward
-    return out
+    return a.tape._record(np.maximum(a.value, floor), backward, a)
 
 
 def leaky_relu(a: Value, slope: float = 0.01) -> Value:
     """x for x > 0, slope * x otherwise."""
     slope = float(slope)
-    out = a.tape._record(np.where(a.value > 0.0, a.value, slope * a.value), a)
 
-    def backward():
-        _accumulate(a, out._grad * np.where(a.value > 0.0, 1.0, slope), owned=True)
+    def backward(g):
+        _accumulate(a, g * np.where(a.value > 0.0, 1.0, slope), owned=True)
 
-    out._backward = backward
-    return out
+    return a.tape._record(np.where(a.value > 0.0, a.value, slope * a.value), backward, a)
 
 
 def softmax_rows_array(x: np.ndarray) -> np.ndarray:
@@ -351,26 +336,22 @@ def softmax_rows_array(x: np.ndarray) -> np.ndarray:
 def softmax_rows(a: Value) -> Value:
     """Row-wise softmax, computed with the usual max-shift for stability."""
     s = softmax_rows_array(a.value)
-    out = a.tape._record(s, a)
 
-    def backward():
+    def backward(g):
         # ds_ij/da_ik = s_ij (delta_jk - s_ik)
-        inner = (out._grad * s).sum(axis=1, keepdims=True)
-        _accumulate(a, s * (out._grad - inner), owned=True)
+        inner = (g * s).sum(axis=1, keepdims=True)
+        _accumulate(a, s * (g - inner), owned=True)
 
-    out._backward = backward
-    return out
+    return a.tape._record(s, backward, a)
 
 
 def sum_all(a: Value) -> Value:
     """Sum of all entries, as a 1x1 matrix."""
-    out = a.tape._record(np.array([[a.value.sum()]]), a)
 
-    def backward():
-        _accumulate(a, np.full(a.shape, out._grad[0, 0]), owned=True)
+    def backward(g):
+        _accumulate(a, np.full(a.shape, g[0, 0]), owned=True)
 
-    out._backward = backward
-    return out
+    return a.tape._record(np.array([[a.value.sum()]]), backward, a)
 
 
 def trace(a: Value) -> Value:
@@ -378,23 +359,18 @@ def trace(a: Value) -> Value:
     n, m = a.shape
     if n != m:
         raise DimensionError(f"trace: matrix must be square, got {a.shape}")
-    out = a.tape._record(np.array([[np.trace(a.value)]]), a)
 
-    def backward():
-        _accumulate(a, out._grad[0, 0] * np.eye(n), owned=True)
+    def backward(g):
+        _accumulate(a, g[0, 0] * np.eye(n), owned=True)
 
-    out._backward = backward
-    return out
+    return a.tape._record(np.array([[np.trace(a.value)]]), backward, a)
 
 
 def transpose(a: Value) -> Value:
-    out = a.tape._record(a.value.T.copy(), a)
+    def backward(g):
+        _accumulate(a, g.T)
 
-    def backward():
-        _accumulate(a, out._grad.T)
-
-    out._backward = backward
-    return out
+    return a.tape._record(a.value.T.copy(), backward, a)
 
 
 def take(a: Value, rows, cols=None) -> Value:
@@ -409,17 +385,15 @@ def take(a: Value, rows, cols=None) -> Value:
         raise DimensionError(f"take: expected one 1-D index array per axis, got rows "
                              f"{rows.shape} and cols {None if cols is None else index[1].shape}")
     picked = a.value[index]
-    out = a.tape._record(picked if cols is None else picked.reshape(-1, 1), a)
 
-    def backward():
+    def backward(g):
         if a.constant:
             return
         if a._grad is None:
             a._grad = np.zeros_like(a.value)
-        np.add.at(a._grad, index, out._grad if cols is None else out._grad[:, 0])
+        np.add.at(a._grad, index, g if cols is None else g[:, 0])
 
-    out._backward = backward
-    return out
+    return a.tape._record(picked if cols is None else picked.reshape(-1, 1), backward, a)
 
 
 def _centered(x: np.ndarray) -> np.ndarray:
@@ -433,13 +407,11 @@ def center(a: Value) -> Value:
     Subtracts the column means, then the row means of what is left. The
     centering matrices are symmetric, so the op is its own adjoint.
     """
-    out = a.tape._record(_centered(a.value), a)
 
-    def backward():
-        _accumulate(a, _centered(out._grad), owned=True)
+    def backward(g):
+        _accumulate(a, _centered(g), owned=True)
 
-    out._backward = backward
-    return out
+    return a.tape._record(_centered(a.value), backward, a)
 
 
 def add_rowvec(a: Value, b: Value) -> Value:
@@ -447,15 +419,13 @@ def add_rowvec(a: Value, b: Value) -> Value:
     tape = _join(a, b)
     if b.shape[0] != 1 or b.shape[1] != a.shape[1]:
         raise DimensionError(f"add_rowvec: expected (1, {a.shape[1]}) row, got {b.shape}")
-    out = tape._record(a.value + b.value, a, b)
 
-    def backward():
-        _accumulate(a, out._grad)
+    def backward(g):
+        _accumulate(a, g)
         if not b.constant:
-            _accumulate(b, out._grad.sum(axis=0, keepdims=True), owned=True)
+            _accumulate(b, g.sum(axis=0, keepdims=True), owned=True)
 
-    out._backward = backward
-    return out
+    return tape._record(a.value + b.value, backward, a, b)
 
 
 def vstack(a: Value, b: Value) -> Value:
@@ -464,14 +434,12 @@ def vstack(a: Value, b: Value) -> Value:
     if a.shape[1] != b.shape[1]:
         raise DimensionError(f"vstack: column counts differ, {a.shape} vs {b.shape}")
     n = a.shape[0]
-    out = tape._record(np.vstack([a.value, b.value]), a, b)
 
-    def backward():
-        _accumulate(a, out._grad[:n])
-        _accumulate(b, out._grad[n:])
+    def backward(g):
+        _accumulate(a, g[:n])
+        _accumulate(b, g[n:])
 
-    out._backward = backward
-    return out
+    return tape._record(np.vstack([a.value, b.value]), backward, a, b)
 
 
 def pairwise_sqdist(a: Value, b: Value) -> Value:
@@ -486,17 +454,14 @@ def pairwise_sqdist(a: Value, b: Value) -> Value:
     av, bv = a.value, b.value
     sq = (av * av).sum(axis=1, keepdims=True) + (bv * bv).sum(axis=1) - 2.0 * (av @ bv.T)
     np.maximum(sq, 0.0, out=sq)
-    out = tape._record(sq, a, b)
 
-    def backward():
-        g = out._grad
+    def backward(g):
         if not a.constant:
             _accumulate(a, 2.0 * (g.sum(axis=1, keepdims=True) * av - g @ bv), owned=True)
         if not b.constant:
             _accumulate(b, 2.0 * (g.sum(axis=0)[:, None] * bv - g.T @ av), owned=True)
 
-    out._backward = backward
-    return out
+    return tape._record(sq, backward, a, b)
 
 
 def triplet_hinge(d: Value, labels, margin: float) -> Value:
@@ -526,13 +491,11 @@ def triplet_hinge(d: Value, labels, margin: float) -> Value:
         total += expr[active].sum()
         counts[np.ix_(own, own)] = active.sum(axis=2)
         counts[np.ix_(own, other)] = -active.sum(axis=1)
-    out = d.tape._record(np.array([[total]]), d)
 
-    def backward():
-        _accumulate(d, out._grad[0, 0] * counts, owned=True)
+    def backward(g):
+        _accumulate(d, g[0, 0] * counts, owned=True)
 
-    out._backward = backward
-    return out
+    return d.tape._record(np.array([[total]]), backward, d)
 
 
 def nuclear_norm(a: Value) -> Value:
@@ -548,13 +511,11 @@ def nuclear_norm(a: Value) -> Value:
         raise NumericalError(
             f"nuclear_norm: SVD failed to converge for {a.shape} matrix "
             f"within the LAPACK iteration limit ({err})") from err
-    out = a.tape._record(np.array([[s.sum()]]), a)
 
-    def backward():
+    def backward(g):
         if s.size == 0 or s[0] <= 0.0:
             return  # zero matrix: subgradient 0
         keep = s > EPS_RANK * s[0]
-        _accumulate(a, out._grad[0, 0] * (u[:, keep] @ vt[keep, :]), owned=True)
+        _accumulate(a, g[0, 0] * (u[:, keep] @ vt[keep, :]), owned=True)
 
-    out._backward = backward
-    return out
+    return a.tape._record(np.array([[s.sum()]]), backward, a)

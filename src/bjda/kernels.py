@@ -86,13 +86,12 @@ def _as_value(x, tape: Tape | None, name: str) -> Value:
 
 
 def kernel_matrix(a, b, spec: KernelSpec = KernelSpec(),
-                  tape: Tape | None = None,
-                  bandwidth_sq: float | None = None) -> Value:
+                  tape: Tape | None = None) -> Value:
     """Kernel matrix K[i, j] = k(a_i, b_j), differentiable w.r.t. a and b.
 
     a and b may be Values on a shared tape or plain matrices (then a tape is
-    required). bandwidth_sq, when given, overrides spec.bandwidth_sq for
-    this one matrix; the per-matrix heuristic applies otherwise.
+    required). A Gaussian spec without a fixed bandwidth takes the heuristic
+    from the pairs of this one matrix.
     """
     if tape is None:
         if isinstance(a, Value):
@@ -105,7 +104,7 @@ def kernel_matrix(a, b, spec: KernelSpec = KernelSpec(),
         raise DimensionError(f"kernel_matrix: feature dims differ, {av.shape} vs {bv.shape}")
     if spec.kind == LINEAR:
         return av @ bv.T
-    sigma_sq = bandwidth_sq if bandwidth_sq is not None else spec.bandwidth_sq
+    sigma_sq = spec.bandwidth_sq
     if sigma_sq is None:
         sigma_sq = gaussian_bandwidth(av.value, bv.value)
     return ad.scale(ad.pairwise_sqdist(av, bv), -1.0 / sigma_sq).exp()
@@ -136,14 +135,13 @@ def kbw_sq(a, b, spec: KernelSpec = KernelSpec(),
     if av.shape[1] != bv.shape[1]:
         raise DimensionError(f"kbw_sq: feature dims differ, {av.shape} vs {bv.shape}")
 
-    fixed_bw = None
     if spec.kind == GAUSSIAN and spec.bandwidth_sq is None:
         pooled = np.vstack([av.value, bv.value])
-        fixed_bw = gaussian_bandwidth(pooled, pooled)
+        spec = KernelSpec(GAUSSIAN, gaussian_bandwidth(pooled, pooled))
 
-    k_aa = kernel_matrix(av, av, spec, tape, bandwidth_sq=fixed_bw)
-    k_bb = kernel_matrix(bv, bv, spec, tape, bandwidth_sq=fixed_bw)
-    k_ab = kernel_matrix(av, bv, spec, tape, bandwidth_sq=fixed_bw)
+    k_aa = kernel_matrix(av, av, spec, tape)
+    k_bb = kernel_matrix(bv, bv, spec, tape)
+    k_ab = kernel_matrix(av, bv, spec, tape)
 
     term_a = ad.scale(ad.center(k_aa).trace(), 1.0 / n)
     term_b = ad.scale(ad.center(k_bb).trace(), 1.0 / m)

@@ -119,6 +119,21 @@ def test_train_config_file_with_set_overrides(data_dir, tmp_path):
     assert summary["config"]["variant"] == "source_only"
 
 
+def test_summary_config_written_as_lines_reproduces_the_run(data_dir, tmp_path):
+    # the README's recipe: each `config` entry of summary.json as a
+    # key = value line
+    overrides = FAST + ["--set", "variant=wd", "--set", "kernel_bandwidth_sq=2.5"]
+    data = ["--source", str(data_dir / "source.csv"), "--target", str(data_dir / "target.csv")]
+    assert main(["train"] + data + ["--out", str(tmp_path / "a")] + overrides) == 0
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    fed = tmp_path / "fed.cfg"
+    fed.write_text("".join(f"{key} = {value}\n" for key, value in summary["config"].items()))
+    assert parse_config(fed.read_text()) == parse_config("\n".join(overrides[1::2]))
+    assert main(["train"] + data + ["--config", str(fed), "--out", str(tmp_path / "b")]) == 0
+    for name in ("metrics.jsonl", "model.bin"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_train_unlabeled_target_reports_no_accuracy(data_dir, tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["train", "--source", str(data_dir / "source.csv"),
