@@ -165,9 +165,9 @@ def l_trip(g: Value, labels: np.ndarray, margin: float) -> tuple[Value, int]:
     For anchor i, every same-class j != i is a positive and every other-class
     k is a negative, each triple contributing
     max{ Dist(g_i, g_j) - Dist(g_i, g_k) + margin, 0 }. The loss is the sum
-    over all valid triples; train.objective divides it by their count, so
-    that, like l_dmc, it trains as a mean. A batch with fewer than two
-    classes contributes 0; the second return flags that case.
+    over all valid triples, not a per-row mean like l_dmc, so its weight
+    against the mean cross-entropy grows with the batch. A batch with fewer
+    than two classes contributes 0; the second return flags that case.
     """
     margin = float(margin)
     if margin < 0.0:

@@ -304,11 +304,6 @@ def objective(cfg: TrainConfig, g_s: Value, g_t: Value, probs_s: Value, probs_t:
         else:
             con_term, degenerate = L.l_trip(g_all, const.margin_labels, cfg.triplet_margin)
             metrics.trip_degenerate += degenerate
-            # a mean over the valid triples, a constant like l_dmc's row count
-            _, n_c = np.unique(const.margin_labels, return_counts=True)
-            triples = int((n_c * (n_c - 1) * (n_c.sum() - n_c)).sum())
-            if triples:
-                con_term = ad.scale(con_term, 1.0 / triples)
 
     cls_term = L.l_cls(probs_s, y_s_1h)
     total = L.total_objective(cls_term, da_term, con_term, cfg.lambda1, cfg.lambda2)

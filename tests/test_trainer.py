@@ -305,17 +305,6 @@ def test_divergent_run_aborts_with_iteration_index():
         train(source, target, replace(BASE, lr=1e20, t_max=10))
 
 
-def test_triplet_does_not_diverge_on_the_benchmark_data():
-    # the criterion-5 data and widths, on which a summed triplet term
-    # diverged at every one of these seeds; a NumericalError fails the test
-    source, target = gen_rotated_blobs(SynthSpec(shift_angle=40.0))
-    for seed in range(5):
-        _, metrics = train(source, target, TrainConfig(
-            variant="triplet", hidden_dim=128, feat_dim=64, t_max=300, eval_every=300,
-            seed=seed))
-        assert math.isfinite(metrics.records[-1].breakdown.total)
-
-
 def test_bjda_train_names_the_module_and_train_the_function():
     import bjda.train as module
     assert isinstance(module, types.ModuleType)
