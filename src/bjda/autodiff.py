@@ -333,6 +333,18 @@ def softmax_rows_array(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def pairwise_sqdist_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Plain-array value of pairwise_sqdist: |a_i|^2 + |b_j|^2 - 2 a_i . b_j,
+    clamped at zero against round-off."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape[1] != b.shape[1]:
+        raise DimensionError(f"pairwise_sqdist: row lengths differ, {a.shape} vs {b.shape}")
+    sq = (a * a).sum(axis=1, keepdims=True) + (b * b).sum(axis=1) - 2.0 * (a @ b.T)
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
 def softmax_rows(a: Value) -> Value:
     """Row-wise softmax, computed with the usual max-shift for stability."""
     s = softmax_rows_array(a.value)
@@ -445,15 +457,11 @@ def vstack(a: Value, b: Value) -> Value:
 def pairwise_sqdist(a: Value, b: Value) -> Value:
     """All squared Euclidean distances between rows of a and rows of b.
 
-    out[i, j] = |a_i - b_j|^2, computed via the expansion
-    |a_i|^2 + |b_j|^2 - 2 a_i . b_j and clamped at zero against round-off.
+    out[i, j] = |a_i - b_j|^2, computed by pairwise_sqdist_matrix.
     """
     tape = _join(a, b)
-    if a.shape[1] != b.shape[1]:
-        raise DimensionError(f"pairwise_sqdist: row lengths differ, {a.shape} vs {b.shape}")
     av, bv = a.value, b.value
-    sq = (av * av).sum(axis=1, keepdims=True) + (bv * bv).sum(axis=1) - 2.0 * (av @ bv.T)
-    np.maximum(sq, 0.0, out=sq)
+    sq = pairwise_sqdist_matrix(av, bv)
 
     def backward(g):
         if not a.constant:

@@ -15,16 +15,16 @@ import dataclasses
 import json
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset, SynthSpec, gen_rotated_blobs, load_csv, save_csv
-from .errors import (BjdaError, ConfigError, DimensionError, DomainError,
-                     InputError, NumericalError, ParseError, ValidationError)
+from .errors import (ConfigError, DimensionError, DomainError, InputError, NumericalError,
+                     ParseError, ValidationError)
 from .gradcheck import run_all
-from .kernels import (KERNEL_KINDS, KernelSpec, closed_form_bures,
-                      exact_wasserstein_sq, kbw_sq)
+from .kernels import KernelSpec, closed_form_bures, exact_wasserstein_sq, kbw_sq
 from .model import save_checkpoint
 from .train import VARIANTS, TrainConfig, run_suite, train
 
@@ -41,53 +41,46 @@ _KERNEL_FLAG = {"gauss": "gaussian", "linear": "linear"}
 
 
 # ---------------------------------------------------------------------------
-# config file: one "key = value" per line, mirroring TrainConfig
+# config file: one "key = value" per line, one key per TrainConfig field
 
 
-_CONFIG_KEYS: dict[str, type] = {
-    "lambda1": float, "lambda2": float, "lr": float, "momentum": float,
-    "weight_decay": float, "t_max": int, "batch_source": int,
-    "batch_target": int, "seed": int, "variant": str, "triplet_margin": float,
-    "confidence_threshold": float, "pl": bool, "kernel_kind": str,
-    "kernel_bandwidth_sq": float, "leaky_slope": float, "proto_mode": str,
-    "ema_decay": float, "hidden_dim": int, "feat_dim": int, "eval_every": int,
-}
+def _key_type(hint) -> tuple[type, bool]:
+    """A field's scalar type, and whether the field may also hold None."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    return (args[0], True) if args else (hint, False)
+
+
+_HINTS = typing.get_type_hints(TrainConfig)
+_CONFIG_KEYS = {f.name: _key_type(_HINTS[f.name]) for f in dataclasses.fields(TrainConfig)}
+
+
+def _render(value) -> str:
+    if value is None:
+        return "auto"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def emit_config(cfg: TrainConfig) -> str:
     """Render a config as key = value lines; parse_config inverts this."""
-    values = {
-        "kernel_kind": cfg.kernel.kind,
-        "kernel_bandwidth_sq": "auto" if cfg.kernel.bandwidth_sq is None
-                               else repr(cfg.kernel.bandwidth_sq),
-    }
-    for f in dataclasses.fields(cfg):
-        if f.name == "kernel":
-            continue
-        v = getattr(cfg, f.name)
-        values[f.name] = ("true" if v else "false") if isinstance(v, bool) else \
-            (repr(v) if isinstance(v, float) else str(v))
-    return "".join(f"{key} = {values[key]}\n" for key in _CONFIG_KEYS)
+    return "".join(f"{key} = {_render(getattr(cfg, key))}\n" for key in _CONFIG_KEYS)
 
 
 def _parse_scalar(key: str, raw: str):
-    want = _CONFIG_KEYS[key]
+    want, optional = _CONFIG_KEYS[key]
+    if optional and raw == "auto":
+        return None
     if want is bool:
         if raw not in ("true", "false"):
             raise ConfigError(f"config key {key}: expected true/false, got {raw!r}")
         return raw == "true"
-    if want is int:
+    if want in (int, float):
         try:
-            return int(raw)
+            return want(raw)
         except ValueError:
-            raise ConfigError(f"config key {key}: expected an integer, got {raw!r}") from None
-    if want is float:
-        if key == "kernel_bandwidth_sq" and raw == "auto":
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key}: expected a float, got {raw!r}") from None
+            kind = "an integer" if want is int else "a float"
+            raise ConfigError(f"config key {key}: expected {kind}, got {raw!r}") from None
     return raw
 
 
@@ -108,18 +101,19 @@ def parse_config(text: str, base: TrainConfig | None = None) -> TrainConfig:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
         seen[key] = _parse_scalar(key, raw)
 
-    cfg = base if base is not None else TrainConfig()
-    kernel_kind = seen.pop("kernel_kind", cfg.kernel.kind)
-    bw = seen.pop("kernel_bandwidth_sq", cfg.kernel.bandwidth_sq)
-    cfg = dataclasses.replace(cfg, kernel=KernelSpec(kernel_kind, bw), **seen)
+    cfg = dataclasses.replace(base if base is not None else TrainConfig(), **seen)
     cfg.validate()
     return cfg
 
 
-def _apply_overrides(cfg: TrainConfig, pairs: list[str]) -> TrainConfig:
-    for pair in pairs:
-        cfg = parse_config(pair, base=cfg)
-    return cfg
+def _config_and_data(args) -> tuple[TrainConfig, Dataset, Dataset]:
+    """The config file, then each --set in order, over the defaults; then
+    the source and target CSVs."""
+    cfg = TrainConfig()
+    texts = ([Path(args.config).read_text()] if args.config else []) + (args.set or [])
+    for text in texts:
+        cfg = parse_config(text, base=cfg)
+    return cfg, load_csv(args.source, name="source"), load_csv(args.target, name="target")
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +136,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = TrainConfig()
-    if args.config:
-        cfg = parse_config(Path(args.config).read_text(), base=cfg)
-    cfg = _apply_overrides(cfg, args.set or [])
-    source = load_csv(args.source, name="source")
-    target = load_csv(args.target, name="target")
+    cfg, source, target = _config_and_data(args)
 
     started = time.monotonic()
     params, metrics = train(source, target, cfg)
@@ -165,8 +154,7 @@ def cmd_train(args) -> int:
         "label_term_skips": metrics.label_term_skips,
         "dmc_target_skips": metrics.dmc_target_skips,
         "trip_degenerate": metrics.trip_degenerate,
-        "config": {line.split(" = ")[0]: line.split(" = ", 1)[1]
-                   for line in emit_config(cfg).splitlines()},
+        "config": dict(line.split(" = ", 1) for line in emit_config(cfg).splitlines()),
         "wall_clock_seconds": wall,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
@@ -214,12 +202,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    cfg = TrainConfig()
-    if args.config:
-        cfg = parse_config(Path(args.config).read_text(), base=cfg)
-    cfg = _apply_overrides(cfg, args.set or [])
-    source = load_csv(args.source, name="source")
-    target = load_csv(args.target, name="target")
+    cfg, source, target = _config_and_data(args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     try:
         seeds = [int(s) for s in args.seeds.split(",")]

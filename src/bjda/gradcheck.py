@@ -304,7 +304,7 @@ def _end_to_end_case(rng: np.random.Generator) -> CheckCase:
     records them.
     """
     dims = ModelDims(4, 6, 5, 3)
-    cfg = TrainConfig(kernel=KernelSpec("gaussian", bandwidth_sq=2.0))
+    cfg = TrainConfig(kernel_bandwidth_sq=2.0)
     # two source rows per class: prototypes are then proper means, never
     # exactly equal to any single row (a zero distance sits on a sqrt kink)
     ys = np.array([0, 0, 1, 1, 2, 2])

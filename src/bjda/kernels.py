@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
-from .autodiff import Tape, Value, as_matrix
+from .autodiff import Tape, Value, as_matrix, pairwise_sqdist_matrix
 from .errors import ConfigError, DimensionError, InputError
 
 GAUSSIAN = "gaussian"
@@ -50,17 +50,6 @@ class KernelSpec:
             if not np.isfinite(bw) or bw <= 0.0:
                 raise ConfigError(f"bandwidth_sq must be finite and > 0, got {self.bandwidth_sq!r}")
             object.__setattr__(self, "bandwidth_sq", bw)
-
-
-def pairwise_sqdist_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Plain-array version of the pairwise squared-distance op (clamped at 0)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[1] != b.shape[1]:
-        raise DimensionError(f"pairwise_sqdist: row lengths differ, {a.shape} vs {b.shape}")
-    sq = (a * a).sum(axis=1, keepdims=True) + (b * b).sum(axis=1) - 2.0 * (a @ b.T)
-    np.maximum(sq, 0.0, out=sq)
-    return sq
 
 
 def gaussian_bandwidth(a: np.ndarray, b: np.ndarray) -> float:

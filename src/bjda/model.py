@@ -2,7 +2,9 @@
 
 The network is deliberately small and fixed in shape: a two-layer extractor
 x -> leaky_relu(x W1 + b1) W2 + b2 followed by a softmax classifier head.
-Hidden and feature widths are configurable; defaults are 1024 and 512.
+Hidden and feature widths are configurable; defaults are 1024 and 512. The
+LeakyReLU slope is the constant LEAKY_SLOPE, so a checkpoint, which stores
+the dims and tensors only, determines its model's predictions.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ CHECKPOINT_VERSION = 1
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "wc", "bc")
 DEFAULT_HIDDEN = 1024
 DEFAULT_FEAT = 512
+LEAKY_SLOPE = 0.01
 
 
 @dataclass(frozen=True)
@@ -101,9 +104,9 @@ def make_leaves(tape: Tape, params: ModelParams) -> dict[str, Value]:
     return {name: tape.leaf(params.tensors[name], name, copy=False) for name in PARAM_NAMES}
 
 
-def forward_g(leaves: dict[str, Value], x: Value, slope: float = 0.01) -> Value:
+def forward_g(leaves: dict[str, Value], x: Value) -> Value:
     """Feature extractor: leaky_relu(x W1 + b1) W2 + b2 (linear output)."""
-    h = ad.leaky_relu(ad.add_rowvec(x @ leaves["w1"], leaves["b1"]), slope)
+    h = ad.leaky_relu(ad.add_rowvec(x @ leaves["w1"], leaves["b1"]), LEAKY_SLOPE)
     return ad.add_rowvec(h @ leaves["w2"], leaves["b2"])
 
 
@@ -112,7 +115,7 @@ def forward_f(leaves: dict[str, Value], g: Value) -> Value:
     return ad.softmax_rows(ad.add_rowvec(g @ leaves["wc"], leaves["bc"]))
 
 
-def predict_probs(params: ModelParams, x: np.ndarray, slope: float = 0.01) -> np.ndarray:
+def predict_probs(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Inference-only forward pass on plain arrays: no tape, no grad buffers.
 
     x gets the checks a tape leaf gives it; a non-finite parameter raises
@@ -123,10 +126,10 @@ def predict_probs(params: ModelParams, x: np.ndarray, slope: float = 0.01) -> np
         raise DimensionError(f"predict_probs: x has {x.shape[1]} columns, "
                              f"the model takes {params.tensors['w1'].shape[0]}")
     check_finite(params, "predict_probs")
-    return forward_probs(params.tensors, x, slope)
+    return forward_probs(params.tensors, x)
 
 
-def forward_probs(tensors: dict[str, np.ndarray], x: np.ndarray, slope: float = 0.01,
+def forward_probs(tensors: dict[str, np.ndarray], x: np.ndarray,
                   h: np.ndarray | None = None, g: np.ndarray | None = None) -> np.ndarray:
     """forward_f(forward_g(x)) on plain, unchecked arrays.
 
@@ -137,7 +140,7 @@ def forward_probs(tensors: dict[str, np.ndarray], x: np.ndarray, slope: float = 
     """
     h = np.matmul(x, tensors["w1"], out=h)
     h += tensors["b1"]
-    np.multiply(h, float(slope), out=h, where=h <= 0.0)
+    np.multiply(h, LEAKY_SLOPE, out=h, where=h <= 0.0)
     g = np.matmul(h, tensors["w2"], out=g)
     g += tensors["b2"]
     return ad.softmax_rows_array(g @ tensors["wc"] + tensors["bc"])

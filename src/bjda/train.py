@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -23,10 +23,10 @@ from . import losses as L
 from .autodiff import Tape, Value
 from .data import Dataset
 from .errors import ConfigError, DimensionError, InputError, NumericalError
-from .kernels import KernelSpec, kbw_sq, optimal_assignment, pairwise_sqdist_matrix
+from .kernels import GAUSSIAN, KernelSpec, kbw_sq, optimal_assignment
 from .losses import LossBreakdown, Prototypes, one_hot
-from .model import (ModelDims, ModelParams, check_finite, forward_f, forward_g, forward_probs,
-                    hard_pseudo_labels, init_xavier, make_leaves)
+from .model import (DEFAULT_FEAT, DEFAULT_HIDDEN, ModelDims, ModelParams, check_finite, forward_f,
+                    forward_g, forward_probs, hard_pseudo_labels, init_xavier, make_leaves)
 
 VARIANTS = ("full", "no_da", "no_dmc", "triplet", "source_only", "wd")
 
@@ -43,6 +43,9 @@ _VARIANT_TERMS = {
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training hyper-parameters, one config key per field. A kernel_bandwidth_sq
+    of None (`auto`) takes the mean-distance heuristic; the LeakyReLU slope is
+    model.LEAKY_SLOPE, not a key."""
     lambda1: float = 0.5
     lambda2: float = 0.3
     lr: float = 0.001
@@ -56,24 +59,30 @@ class TrainConfig:
     triplet_margin: float = 1.0
     confidence_threshold: float = 0.8
     pl: bool = False
-    kernel: KernelSpec = field(default_factory=KernelSpec)
-    leaky_slope: float = 0.01
+    kernel_kind: str = GAUSSIAN
+    kernel_bandwidth_sq: float | None = None
     proto_mode: str = "batch"
     ema_decay: float = 0.9
-    hidden_dim: int = 1024
-    feat_dim: int = 512
+    hidden_dim: int = DEFAULT_HIDDEN
+    feat_dim: int = DEFAULT_FEAT
     eval_every: int = 50
 
+    @property
+    def kernel(self) -> KernelSpec:
+        return KernelSpec(self.kernel_kind, self.kernel_bandwidth_sq)
+
     def validate(self) -> None:
-        for key in ("lambda1", "lambda2", "weight_decay", "triplet_margin", "leaky_slope"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        self.kernel  # KernelSpec rejects an unknown kind and a bandwidth <= 0
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ConfigError(f"lambda1/lambda2 must be >= 0, got "
                               f"({self.lambda1}, {self.lambda2})")
-        if self.lr <= 0 or not math.isfinite(self.lr):
+        if self.lr <= 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
         if not 0 <= self.momentum < 1:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
@@ -223,17 +232,15 @@ def l_da(g_s: Value, y_s_onehot: np.ndarray, g_t: Value, y_t_soft: Value | None,
 def _wd_loss(g_s: Value, g_t: Value, y_s_1h: np.ndarray, probs_t: Value) -> Value:
     """Exact-transport stand-in for the alignment loss.
 
-    One assignment is solved on the detached joint cost (feature + label
-    squared distances); gradients then flow through the matched pairs only.
+    One assignment is solved on the summed values of the feature and label
+    squared-distance nodes; gradients then flow through the matched pairs only.
     """
-    cost = (pairwise_sqdist_matrix(g_s.value, g_t.value)
-            + pairwise_sqdist_matrix(y_s_1h, probs_t.value))
-    cols, _ = optimal_assignment(cost)
-    rows = np.arange(cost.shape[0])
-    feat = ad.take(ad.pairwise_sqdist(g_s, g_t), rows, cols).sum()
-    label = ad.take(ad.pairwise_sqdist(g_s.tape.constant(y_s_1h, "y_s"), probs_t),
-                    rows, cols).sum()
-    return ad.scale(feat + label, 1.0 / rows.shape[0])
+    feat = ad.pairwise_sqdist(g_s, g_t)
+    label = ad.pairwise_sqdist(g_s.tape.constant(y_s_1h, "y_s"), probs_t)
+    cols, _ = optimal_assignment(feat.value + label.value)
+    rows = np.arange(cols.shape[0])
+    matched = ad.take(feat, rows, cols).sum() + ad.take(label, rows, cols).sum()
+    return ad.scale(matched, 1.0 / rows.shape[0])
 
 
 def _kept_rows(value: Value, keep: np.ndarray) -> Value:
@@ -327,8 +334,8 @@ def _step(cfg: TrainConfig, params: ModelParams, scratch: dict[str, np.ndarray],
         leaves = make_leaves(tape, params)
     except NumericalError as err:  # the previous step's update made it
         raise NumericalError(f"{err}, at iteration {it}; the run diverged") from err
-    g_s = forward_g(leaves, tape.constant(xs, "x_s"), cfg.leaky_slope)
-    g_t = forward_g(leaves, tape.constant(xt, "x_t"), cfg.leaky_slope)
+    g_s = forward_g(leaves, tape.constant(xs, "x_s"))
+    g_t = forward_g(leaves, tape.constant(xt, "x_t"))
     # squared norms must stay clear of the float64 overflow line (~1e308)
     peak = max(np.abs(g_s.value).max(initial=0.0), np.abs(g_t.value).max(initial=0.0))
     if not math.isfinite(peak) or peak > 1e100:
@@ -385,7 +392,7 @@ def train(source: Dataset, target: Dataset,
         target_acc = None
         if has_target_labels and (it % cfg.eval_every == 0 or it == cfg.t_max):
             held = None  # evaluate's buffers take the grads' place
-            target_acc = evaluate(params, target, cfg.leaky_slope).accuracy
+            target_acc = evaluate(params, target).accuracy
 
         metrics.records.append(IterationRecord(it, breakdown, target_acc, pl_accept))
 
@@ -404,12 +411,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def evaluate(params: ModelParams, data: Dataset, leaky_slope: float = 0.01,
-             chunk: int = 1024) -> EvalResult:
+def evaluate(params: ModelParams, data: Dataset, chunk: int = 1024) -> EvalResult:
     """Accuracy over the labeled rows; unlabeled rows are excluded and counted.
 
-    Rows are predicted chunk by chunk with model.forward_probs, on
-    min(chunks, usable CPUs) workers: the calling thread plus a pool, since
+    Rows are predicted chunk by chunk with model.forward_probs, the pass of
+    predict_probs, so a reloaded checkpoint predicts the same labels. The
+    chunks run on min(chunks, usable CPUs) workers: the calling thread plus a pool, since
     numpy releases the GIL inside BLAS. Each worker reuses one pair of
     hidden/feature buffers. A chunk's arithmetic does not depend on the
     worker that runs it, so neither do the predictions. A non-finite
@@ -431,7 +438,7 @@ def evaluate(params: ModelParams, data: Dataset, leaky_slope: float = 0.01,
         for start in starts[first::workers]:
             x = data.features[start:start + chunk]
             k = x.shape[0]
-            probs = forward_probs(params.tensors, x, leaky_slope, h[:k], g[:k])
+            probs = forward_probs(params.tensors, x, h[:k], g[:k])
             preds[start:start + k] = hard_pseudo_labels(probs)[0]
 
     if workers == 1:

@@ -1,4 +1,5 @@
 """End-to-end command-line behavior: artifacts, literals, exit codes."""
+import dataclasses
 import importlib
 import json
 import re
@@ -7,11 +8,10 @@ import numpy as np
 import pytest
 
 from bjda.cli import emit_config, main, parse_config
-from bjda.data import SynthSpec, gen_rotated_blobs, save_csv
+from bjda.data import SynthSpec, gen_rotated_blobs, load_csv, save_csv
 from bjda.errors import ConfigError, NumericalError
 from bjda.gradcheck import CheckCase
-from bjda.kernels import KernelSpec
-from bjda.model import load_checkpoint
+from bjda.model import hard_pseudo_labels, load_checkpoint, predict_probs
 from bjda.train import TrainConfig
 
 FAST = ["--set", "hidden_dim=16", "--set", "feat_dim=8", "--set", "t_max=6",
@@ -103,6 +103,18 @@ def test_train_writes_all_artifacts(data_dir, tmp_path, capsys):
     assert summary["wall_clock_seconds"] > 0.0
 
 
+def test_reloaded_checkpoint_scores_the_summary_accuracy(data_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--source", str(data_dir / "source.csv"),
+                 "--target", str(data_dir / "target.csv"),
+                 "--out", str(out)] + FAST) == 0
+    capsys.readouterr()
+    target = load_csv(data_dir / "target.csv")
+    probs = predict_probs(load_checkpoint(out / "model.bin"), target.features)
+    acc = float((hard_pseudo_labels(probs)[0] == target.labels).mean())
+    assert acc == json.loads((out / "summary.json").read_text())["final_target_accuracy"]
+
+
 def test_train_config_file_with_set_overrides(data_dir, tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("t_max = 5\nvariant = source_only\nhidden_dim = 16\n"
@@ -182,7 +194,7 @@ def test_bad_override_exits_2(data_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("raw", ["nan", "inf"])
 @pytest.mark.parametrize("key", ["lambda1", "lambda2", "weight_decay", "triplet_margin",
-                                 "leaky_slope"])
+                                 "lr", "momentum", "confidence_threshold", "ema_decay"])
 def test_non_finite_float_keys_exit_2_before_training(data_dir, tmp_path, capsys, key, raw):
     out = tmp_path / "o"
     code = main(["train", "--source", str(data_dir / "source.csv"),
@@ -355,11 +367,19 @@ def test_suite_rejects_bad_jobs_and_empty_variants(data_dir, tmp_path, capsys,
 # ---------------------------------------------------------------- config
 
 def test_config_round_trips_through_emit_and_parse():
-    for cfg in (TrainConfig(),
+    every_key_changed = TrainConfig(
+        lambda1=1.5, lambda2=0.25, lr=0.01, momentum=0.5, weight_decay=0.001, t_max=7,
+        batch_source=16, batch_target=16, seed=3, variant="wd", triplet_margin=0.5,
+        confidence_threshold=0.6, pl=True, kernel_kind="linear", kernel_bandwidth_sq=1.5,
+        proto_mode="ema", ema_decay=0.75, hidden_dim=32, feat_dim=16, eval_every=5)
+    defaults = TrainConfig()
+    assert all(getattr(every_key_changed, f.name) != getattr(defaults, f.name)
+               for f in dataclasses.fields(TrainConfig))
+    for cfg in (defaults, every_key_changed,
                 TrainConfig(variant="triplet", pl=True, lambda1=1.25,
-                            kernel=KernelSpec("linear"), seed=9,
+                            kernel_kind="linear", seed=9,
                             hidden_dim=64, feat_dim=32),
-                TrainConfig(kernel=KernelSpec("gaussian", 2.5),
+                TrainConfig(kernel_kind="gaussian", kernel_bandwidth_sq=2.5,
                             confidence_threshold=0.95, proto_mode="ema")):
         assert parse_config(emit_config(cfg)) == cfg
 
@@ -369,6 +389,8 @@ def test_config_parser_rejects_bad_text():
         parse_config("learning_rate = 0.1\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("shared_bandwidth = false\n")  # kbw_sq has one kernel only
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("leaky_slope = 0.01\n")  # the slope is model.LEAKY_SLOPE
     with pytest.raises(ConfigError, match="duplicate key"):
         parse_config("lr = 0.1\nlr = 0.2\n")
     with pytest.raises(ConfigError, match="expected key = value"):
@@ -388,7 +410,7 @@ def test_config_parser_ignores_comments_and_blanks():
 
 def test_config_bandwidth_auto_round_trip():
     cfg = parse_config("kernel_bandwidth_sq = auto\n",
-                       base=TrainConfig(kernel=KernelSpec("gaussian", 2.0)))
+                       base=TrainConfig(kernel_kind="gaussian", kernel_bandwidth_sq=2.0))
     assert cfg.kernel.bandwidth_sq is None
     assert "kernel_bandwidth_sq = auto" in emit_config(cfg)
 

@@ -10,6 +10,7 @@ from bjda.errors import ConfigError, DimensionError, InputError, NumericalError,
 from bjda.model import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
+    LEAKY_SLOPE,
     PARAM_NAMES,
     ModelDims,
     ModelParams,
@@ -108,10 +109,10 @@ def test_forward_g_matches_direct_numpy():
     x = np.random.default_rng(5).normal(size=(6, 3))
     tape = Tape()
     leaves = make_leaves(tape, params)
-    got = forward_g(leaves, tape.leaf(x, "x"), slope=0.1).value
+    got = forward_g(leaves, tape.leaf(x, "x")).value
     t = params.tensors
     z = x @ t["w1"] + t["b1"]
-    h = np.where(z > 0, z, 0.1 * z)
+    h = np.where(z > 0, z, LEAKY_SLOPE * z)
     want = h @ t["w2"] + t["b2"]
     assert np.array_equal(got, want)
 

@@ -444,7 +444,7 @@ def test_suite_cell_accuracy_is_the_final_evaluation():
     params, metrics = train(source, target, cfg)
     (cell,) = run_suite(source, target, cfg, variants=("no_da",), seeds=(2,)).cells
     assert cell.accuracy == metrics.records[-1].target_acc
-    assert cell.accuracy == evaluate(params, target, cfg.leaky_slope).accuracy
+    assert cell.accuracy == evaluate(params, target).accuracy
 
 
 def test_suite_rejects_unknown_variants():
