@@ -1,10 +1,10 @@
-"""Joint distribution alignment for unsupervised domain adaptation.
+"""Feature and label marginal alignment for unsupervised domain adaptation.
 
 Aligns a labeled source sample with an unlabeled target sample by minimizing
-a kernel Bures-Wasserstein distance between their joint feature/label
-distributions, alongside cross-entropy on the source and a prototype margin
-loss. Everything runs on a small self-contained reverse-mode autodiff tape
-over float64 matrices; no deep-learning framework involved.
+kernel Bures-Wasserstein distances between their feature marginals and
+between their label marginals (not yet their joint distribution), alongside
+cross-entropy on the source and a prototype margin loss. It runs on a small
+self-contained reverse-mode autodiff tape over float64 matrices.
 """
 from .autodiff import Tape, Value
 from .data import Dataset, SynthSpec, gen_rotated_blobs, load_csv, save_csv

@@ -24,7 +24,8 @@ from .data import Dataset, SynthSpec, gen_rotated_blobs, load_csv, save_csv
 from .errors import (ConfigError, DimensionError, DomainError, InputError, NumericalError,
                      ParseError, ValidationError)
 from .gradcheck import run_all
-from .kernels import KernelSpec, closed_form_bures, exact_wasserstein_sq, kbw_sq
+from .kernels import (GAUSSIAN, KERNEL_KINDS, KernelSpec, closed_form_bures,
+                      exact_wasserstein_sq, kbw_sq)
 from .model import save_checkpoint
 from .train import VARIANTS, TrainConfig, run_suite, train
 
@@ -35,9 +36,6 @@ EXIT_NUMERIC = 4
 
 _USAGE_ERRORS = (ConfigError, InputError, DimensionError, DomainError,
                  ParseError, ValidationError)
-
-# CLI spelling of the kernel kinds
-_KERNEL_FLAG = {"gauss": "gaussian", "linear": "linear"}
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +171,7 @@ def cmd_distance(args) -> int:
     a = load_csv(args.a, name="a")
     b = load_csv(args.b, name="b")
     if args.kind == "kbw":
-        spec = KernelSpec(_KERNEL_FLAG[args.kernel], args.bandwidth_sq)
+        spec = KernelSpec(args.kernel, args.bandwidth_sq)
         sq = kbw_sq(a.features, b.features, spec, tape=None)
         print(f"{np.sqrt(sq.item()):.12f} (kbw distance, {spec.kind} kernel)")
     elif args.kind == "bures":
@@ -235,7 +233,7 @@ def cmd_suite(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bjda",
-        description="Joint distribution alignment trainer and distance toolbox "
+        description="Feature and label marginal alignment trainer and distance toolbox "
                     "for precomputed feature vectors.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -263,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--kind", choices=("kbw", "bures", "ot"), default="kbw")
-    p.add_argument("--kernel", choices=tuple(_KERNEL_FLAG), default="gauss")
+    p.add_argument("--kernel", choices=KERNEL_KINDS, default=GAUSSIAN)
     p.add_argument("--bandwidth-sq", type=float, default=None)
     p.set_defaults(func=cmd_distance)
 

@@ -9,8 +9,7 @@ digits, which round-trips IEEE doubles exactly, and every line ends in "\\n".
 from __future__ import annotations
 
 import csv
-import math
-import re
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -64,12 +63,9 @@ def load_csv(path, class_count: int | None = None, name: str | None = None) -> D
     """Parse a feature CSV. class_count overrides the file's "# classes" line.
 
     Without either, the class count falls back to 1 + max label; a negative
-    class count is a ValidationError. The body is
-    parsed in one np.loadtxt pass: fields may be quoted or padded with
-    spaces, lines may end in \\n or \\r\\n, and blank lines are skipped. A label
-    is a plain integer ("1.0" is not) and a feature is an ASCII float
-    without digit separators. If the table does not parse or fails a check,
-    the file is walked row by row to raise a ParseError or ValidationError
+    class count is a ValidationError. The body is parsed in one _loadtxt
+    pass and checked by Dataset. If it does not parse or fails a check, the
+    file is walked line by line to raise a ParseError or ValidationError
     naming the first bad line (1-based, blank lines counted).
     """
     # an undecodable byte becomes U+FFFD, which no field accepts, so it is
@@ -82,30 +78,15 @@ def load_csv(path, class_count: int | None = None, name: str | None = None) -> D
             raise ValidationError(f"{where}: class count {limit} must be >= 0")
         row_type = np.dtype([("label", np.int64), ("features", np.float64, (dim,))])
         try:
-            with warnings.catch_warnings():
-                # an empty body is a valid empty dataset
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                        UserWarning)
-                # older numpy parses an integer field such as "1.5" through a
-                # float, truncates it and only warns; as an error, numpy
-                # raises ValueError and the walk names the line
-                warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
-                                        DeprecationWarning)
-                table = np.loadtxt(fh, dtype=row_type, delimiter=",", comments=None,
-                                   quotechar='"', ndmin=1)
-        except ValueError as exc:
-            failure = str(exc)
-        else:
+            table = _loadtxt(fh, row_type)
             labels = np.ascontiguousarray(table["label"])
-            features = np.ascontiguousarray(table["features"])
-            if not labels.size or (labels.min() >= -1 and np.isfinite(features).all()
-                                   and (limit is None or labels.max() < limit)):
-                if limit is None:
-                    limit = int(labels.max(initial=-1)) + 1
-                return Dataset(features, labels, limit, name or str(path))
-            failure = "a row fails its checks"
-        _raise_first_bad_row(path, fh, header_line, dim, limit)
-    # reached only if the walk accepts a body np.loadtxt rejected
+            classes = limit if limit is not None else int(labels.max(initial=-1)) + 1
+            return Dataset(np.ascontiguousarray(table["features"]), labels, classes,
+                           name or str(path))
+        except (ValueError, InputError) as exc:
+            failure = str(exc)
+        _raise_first_bad_line(path, fh, header_line, row_type, limit)
+    # reached only if the walk accepts a body the table parse rejected
     raise ParseError(f"{path}: {failure}")
 
 
@@ -134,39 +115,42 @@ def _read_head(path, fh) -> tuple[int | None, int, int]:
     return file_classes, header_line, len(header) - 1
 
 
-# the syntax np.loadtxt accepts for an integer field
-_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+def _loadtxt(lines, row_type: np.dtype) -> np.ndarray:
+    """np.loadtxt in the file's dialect, the one parser of body lines (the
+    open file or a list of them): fields may be quoted or padded with spaces,
+    an empty line gives no row, and numpy's int64 and float64 parsers decide
+    what a label and a feature may look like. Raises ValueError on failure."""
+    with warnings.catch_warnings():
+        # an empty body is a valid empty dataset
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # older numpy parses an integer field such as "1.5" through a float,
+        # truncates it and only warns; as an error, numpy raises ValueError
+        warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
+                                DeprecationWarning)
+        return np.loadtxt(lines, dtype=row_type, delimiter=",", comments=None,
+                          quotechar='"', ndmin=1)
 
 
-def _raise_first_bad_row(path, fh, header_line: int, dim: int, limit: int | None) -> None:
-    """Walk the body of fh with the per-row checks and raise the first failure."""
+def _raise_first_bad_line(path, fh, header_line: int, row_type: np.dtype,
+                          limit: int | None) -> None:
+    """Parse fh's body again line by line; raise the first failure, numpy's
+    reason as a ParseError or a failed check as a ValidationError."""
     fh.seek(0)
-    for _ in range(header_line):
-        fh.readline()
-    reader = csv.reader(fh)
-    for record in reader:
-        ln = header_line + reader.line_num
-        if not record:
+    for ln, line in enumerate(itertools.islice(fh, header_line, None), start=header_line + 1):
+        try:
+            row = _loadtxt([line], row_type)
+        except ValueError as exc:  # numpy's reason, without its row and column
+            raise ParseError(f"{path}:{ln}: {str(exc).split(' at row')[0]}") from None
+        if not row.size:  # an empty line
             continue
-        if len(record) != dim + 1:
-            raise ParseError(f"{path}:{ln}: expected {dim + 1} fields, got {len(record)}")
-        label = int(record[0]) if _INTEGER.fullmatch(record[0]) else None
-        if label is None or not -2 ** 63 <= label < 2 ** 63:
-            raise ParseError(f"{path}:{ln}: label {record[0]!r} is not an integer")
+        label, features = row["label"][0], row["features"][0]
         if label < -1:
             raise ValidationError(f"{path}:{ln}: label {label} must be >= -1")
         if limit is not None and label >= limit:
             raise ValidationError(f"{path}:{ln}: label {label} >= class count {limit}")
-        for j, field in enumerate(record[1:]):
-            # np.loadtxt takes neither digit separators nor non-ASCII digits
-            try:
-                if "_" in field or not field.isascii():
-                    raise ValueError
-                x = float(field)
-            except ValueError:
-                raise ParseError(f"{path}:{ln}: malformed float in column f{j}") from None
-            if not math.isfinite(x):
-                raise ValidationError(f"{path}:{ln}: non-finite value in column f{j}")
+        bad = np.flatnonzero(~np.isfinite(features))
+        if bad.size:
+            raise ValidationError(f"{path}:{ln}: non-finite value in column f{bad[0]}")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,11 @@ case runs the trainer's own objective.
 Gaussian bandwidths are pinned inside the cases: the training losses treat
 the bandwidth (like the margin entropies, prototypes, and pseudo-labels) as
 a per-iteration constant, so the checked function holds them fixed too.
+The pin hides that training's default auto bandwidth, the mean distance of
+the batch's own features, moves with the parameters but takes no gradient:
+with TrainConfig()'s auto bandwidth, end_to_end's max relative error is
+0.154, 0.255 and 0.422 at seeds 0, 1 and 2 (tolerance 1e-3), so training
+does not follow the loss's gradient. The pin stays until sigma is on the tape.
 Instances are searched deterministically until every hinge argument, argmin
 gap, and activation pre-image clears its kink by a safe margin.
 """

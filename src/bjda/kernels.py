@@ -37,7 +37,7 @@ class KernelSpec:
     the bandwidth comes from the mean-distance heuristic: kbw_sq takes it once
     from the pooled rows of both samples and uses it for all three of its
     Gram matrices (one kernel, one RKHS); a lone kernel_matrix call takes it
-    from the pairs of that matrix.
+    from the pairs of that matrix. The linear kernel takes no bandwidth_sq.
     """
     kind: str = GAUSSIAN
     bandwidth_sq: float | None = None
@@ -47,6 +47,8 @@ class KernelSpec:
             raise ConfigError(f"kernel kind must be one of {KERNEL_KINDS}, got {self.kind!r}")
         if self.bandwidth_sq is not None:
             bw = float(self.bandwidth_sq)
+            if self.kind == LINEAR:
+                raise ConfigError(f"the linear kernel takes no bandwidth_sq, got {bw!r}")
             if not np.isfinite(bw) or bw <= 0.0:
                 raise ConfigError(f"bandwidth_sq must be finite and > 0, got {self.bandwidth_sq!r}")
             object.__setattr__(self, "bandwidth_sq", bw)

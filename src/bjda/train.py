@@ -208,7 +208,8 @@ def _check_pair(source: Dataset, target: Dataset) -> None:
 # kbw_sq and optimal_assignment by their names in this module.
 def l_da(g_s: Value, y_s_onehot: np.ndarray, g_t: Value, y_t_soft: Value | None,
          spec: KernelSpec = KernelSpec()) -> Value:
-    """Joint alignment loss: kbw_sq on features plus kbw_sq on label vectors.
+    """Feature and label marginal alignment (not joint): kbw_sq on features plus
+    kbw_sq on label vectors, blind to balanced target labels all moved one class along.
 
     y_s_onehot rows are true source labels (constants); y_t_soft rows are
     predicted target probabilities and must each sum to 1 within 1e-6. With
@@ -368,6 +369,14 @@ def train(source: Dataset, target: Dataset,
     rng = np.random.default_rng([cfg.seed, 1])
     sampler_s = EpochSampler(len(source), cfg.batch_source, rng)
     sampler_t = EpochSampler(len(target), cfg.batch_target, rng)
+    # a sampler caps its batch at the dataset's rows; the drawn sizes pass the config's checks too
+    drawn = (sampler_s.batch, sampler_t.batch)
+    try:
+        replace(cfg, batch_source=drawn[0], batch_target=drawn[1]).validate()
+    except ConfigError as err:
+        data, key = (source, "batch_source") if drawn[0] < drawn[1] else (target, "batch_target")
+        raise InputError(f"dataset {data.name!r} has {len(data)} row(s), so {key}="
+                         f"{getattr(cfg, key)} draws {min(drawn)}: {err}") from None
     protos = Prototypes(c_count, cfg.feat_dim, cfg.proto_mode, cfg.ema_decay)
     metrics = RunMetrics()
     has_target_labels = bool(np.any(target.labels >= 0))

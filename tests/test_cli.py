@@ -241,6 +241,20 @@ def test_distance_prints_twelve_decimals(data_dir, capsys):
     assert re.fullmatch(r"\d+\.\d{12} \(kbw distance, linear kernel\)", out)
 
 
+@pytest.mark.parametrize("command", [
+    ["distance", "--kernel", "linear", "--bandwidth-sq", "2.0"],
+    ["train", "--set", "kernel_kind=linear", "--set", "kernel_bandwidth_sq=2.0"] + FAST,
+], ids=["distance", "train"])
+def test_a_bandwidth_for_the_linear_kernel_exits_2(data_dir, tmp_path, capsys, command):
+    a, b = str(data_dir / "source.csv"), str(data_dir / "target.csv")
+    files = ["--a", a, "--b", b] if command[0] == "distance" else \
+        ["--source", a, "--target", b, "--out", str(tmp_path / "o")]
+    assert main(command + files) == 2
+    assert capsys.readouterr().err.strip() == \
+        "error: the linear kernel takes no bandwidth_sq, got 2.0"
+    assert not (tmp_path / "o").exists()
+
+
 def test_distance_exact_transport_literal(tmp_path, capsys):
     a = _write(tmp_path / "a.csv", "label,f0\n0,0\n0,1\n")
     b = _write(tmp_path / "b.csv", "label,f0\n0,1\n0,2\n")
@@ -367,15 +381,19 @@ def test_suite_rejects_bad_jobs_and_empty_variants(data_dir, tmp_path, capsys,
 # ---------------------------------------------------------------- config
 
 def test_config_round_trips_through_emit_and_parse():
-    every_key_changed = TrainConfig(
+    # the linear kernel takes no bandwidth, so the two kernel keys change
+    # in two configs
+    every_other_key_changed = TrainConfig(
         lambda1=1.5, lambda2=0.25, lr=0.01, momentum=0.5, weight_decay=0.001, t_max=7,
         batch_source=16, batch_target=16, seed=3, variant="wd", triplet_margin=0.5,
-        confidence_threshold=0.6, pl=True, kernel_kind="linear", kernel_bandwidth_sq=1.5,
-        proto_mode="ema", ema_decay=0.75, hidden_dim=32, feat_dim=16, eval_every=5)
+        confidence_threshold=0.6, pl=True, proto_mode="ema", ema_decay=0.75,
+        hidden_dim=32, feat_dim=16, eval_every=5)
+    changed = (dataclasses.replace(every_other_key_changed, kernel_kind="linear"),
+               dataclasses.replace(every_other_key_changed, kernel_bandwidth_sq=1.5))
     defaults = TrainConfig()
-    assert all(getattr(every_key_changed, f.name) != getattr(defaults, f.name)
+    assert all(any(getattr(cfg, f.name) != getattr(defaults, f.name) for cfg in changed)
                for f in dataclasses.fields(TrainConfig))
-    for cfg in (defaults, every_key_changed,
+    for cfg in (defaults, *changed,
                 TrainConfig(variant="triplet", pl=True, lambda1=1.25,
                             kernel_kind="linear", seed=9,
                             hidden_dim=64, feat_dim=32),

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bjda.data import Dataset, SynthSpec, gen_rotated_blobs, load_csv, save_csv
 from bjda.errors import ConfigError, InputError, ParseError, ValidationError
@@ -252,6 +254,61 @@ def test_load_csv_peak_memory_stays_near_the_feature_array(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(back.features, ds.features)
     assert peak < 3 * back.features.nbytes
+
+
+# one corrupted field or field count per case: (where, text, error); a label
+# text of None is the class count plus the drawn offset
+_CORRUPTIONS = [
+    ("label", "1.0", ParseError), ("label", "1.5", ParseError), ("label", "1_0", ParseError),
+    ("label", "x", ParseError), ("label", "", ParseError), ("label", "-2", ValidationError),
+    ("label", None, ValidationError),
+    ("feature", "abc", ParseError), ("feature", "1_0", ParseError),
+    ("feature", "0x10", ParseError), ("feature", "", ParseError),
+    ("feature", "inf", ValidationError), ("feature", "nan", ValidationError),
+    ("missing", None, ParseError), ("extra", None, ParseError),
+]
+
+
+@st.composite
+def _table_with_one_bad_line(draw):
+    dim = draw(st.integers(1, 4))
+    classes = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 30))
+    floats = st.floats(-1e6, 1e6, allow_nan=False).map(repr)
+    rows = [[str(draw(st.integers(-1, classes - 1)))]
+            + draw(st.lists(floats, min_size=dim, max_size=dim)) for _ in range(n)]
+    bad = draw(st.integers(0, n - 1))
+    where, text, error = draw(st.sampled_from(_CORRUPTIONS))
+    if where == "label":
+        rows[bad][0] = text if text is not None else str(classes + draw(st.integers(0, 3)))
+    elif where == "feature":
+        rows[bad][1 + draw(st.integers(0, dim - 1))] = text
+    elif where == "missing":
+        rows[bad].pop()
+    else:
+        rows[bad].append("0.5")
+    declared = draw(st.booleans())
+    lines = ([f"# classes={classes}"] if declared else []) \
+        + [",".join(["label"] + [f"f{j}" for j in range(dim)])]
+    for i, row in enumerate(rows):
+        lines += [""] * draw(st.integers(0, 2))
+        if i == bad:
+            bad_line = len(lines) + 1
+        lines.append(",".join(row))
+    lines += [""] * draw(st.integers(0, 2))
+    text = "\n".join(lines) + "\n"
+    return text, None if declared else classes, error, bad_line
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_table_with_one_bad_line())
+def test_csv_walk_names_the_one_bad_line(tmp_path, case):
+    text, class_count, error, bad_line = case
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(error, match=f":{bad_line}:"):
+        load_csv(path, class_count=class_count)
 
 
 # ---------------------------------------------------------------- synth

@@ -50,6 +50,8 @@ def test_kernel_spec_validates():
         KernelSpec(bandwidth_sq=0.0)
     with pytest.raises(ConfigError):
         KernelSpec(bandwidth_sq=float("nan"))
+    with pytest.raises(ConfigError, match="linear kernel takes no bandwidth_sq"):
+        KernelSpec(kind="linear", bandwidth_sq=2.0)
 
 
 def test_gaussian_self_similarity_is_one():

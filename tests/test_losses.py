@@ -188,6 +188,24 @@ def test_da_rejects_class_count_mismatch():
              tape.leaf(y_t, "yt"))
 
 
+def test_da_sees_the_label_marginal_but_not_the_joint():
+    # a target with the source's features but every label moved one class
+    # along has another joint distribution and the same two marginals
+    labels = np.repeat(np.arange(4), 30)
+    rng = np.random.default_rng(0)
+    g = 3.0 * np.eye(4, 6)[labels] + rng.normal(size=(120, 6))
+
+    def da(target_labels):
+        tape = Tape()
+        return l_da(tape.leaf(g, "gs"), one_hot(labels, 4), tape.leaf(g.copy(), "gt"),
+                    tape.constant(one_hot(target_labels, 4), "yt")).item()
+
+    moved = da((labels + 1) % 4)
+    assert moved == da(labels)
+    assert moved <= 1e-12
+    assert da(np.repeat(np.arange(4), [60, 20, 20, 20])) > 1e-3
+
+
 # ---------------------------------------------------------------- l_dmc
 
 def test_dmc_worked_example_log_two_minus_half():

@@ -166,6 +166,21 @@ def test_train_rejects_mismatched_dataset_pairs():
         train(one_class, one_class, BASE)
 
 
+@pytest.mark.parametrize("variant, rows, broken", [
+    ("wd", 10, "variant 'wd' needs equal batch sizes (one-to-one transport)"),
+    ("full", 1, "batch sizes must be >= 2 (centering needs two rows)"),
+])
+def test_train_checks_the_batch_sizes_it_draws(variant, rows, broken):
+    # the sampler caps a batch at the dataset's rows, past the config's checks
+    from dataclasses import replace
+    source, target = small_pair()
+    small = Dataset(target.features[:rows], target.labels[:rows], 3, "target")
+    with pytest.raises(InputError) as err:
+        train(source, small, replace(BASE, variant=variant))
+    assert str(err.value) == (f"dataset 'target' has {rows} row(s), so batch_target=16 "
+                              f"draws {rows}: {broken}, got (16, {rows})")
+
+
 # ---------------------------------------------------------------- loop
 
 def test_train_is_bitwise_deterministic():
