@@ -101,8 +101,8 @@ def _read_head(path, fh) -> tuple[int | None, int, int]:
     if line.lstrip().startswith("#"):
         comment = line.lstrip()[1:].strip()
         if comment.startswith("classes="):
-            try:
-                file_classes = int(comment[len("classes="):])
+            try:  # the labels' int64 grammar, exactly one field
+                (file_classes,) = _loadtxt([comment[len("classes="):]], np.dtype(np.int64)).tolist()
             except ValueError:
                 raise ParseError(f"{path}:1: bad class count in {line.rstrip()!r}") from None
         line, header_line = fh.readline(), 2

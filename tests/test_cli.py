@@ -2,11 +2,13 @@
 import dataclasses
 import importlib
 import json
+import os
 import re
 
 import numpy as np
 import pytest
 
+from bjda import cli
 from bjda.cli import emit_config, main, parse_config
 from bjda.data import SynthSpec, gen_rotated_blobs, load_csv, save_csv
 from bjda.errors import ConfigError, NumericalError
@@ -72,7 +74,10 @@ def test_synth_rejects_single_class(tmp_path, capsys):
 
 # ---------------------------------------------------------------- train
 
-def test_train_writes_all_artifacts(data_dir, tmp_path, capsys):
+def test_train_writes_all_artifacts(data_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     out = tmp_path / "run"
     code = main(["train", "--source", str(data_dir / "source.csv"),
                  "--target", str(data_dir / "target.csv"),
@@ -95,12 +100,17 @@ def test_train_writes_all_artifacts(data_dir, tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary) == {"final_target_accuracy", "proto_skips", "label_term_skips",
                             "dmc_target_skips", "trip_degenerate", "config",
-                            "wall_clock_seconds"}
+                            "wall_clock_seconds", "load_seconds", "numpy_version",
+                            "blas_threads_env"}
     assert 0.0 <= summary["final_target_accuracy"] <= 1.0
     assert summary["final_target_accuracy"] == json.loads(lines[-1])["target_acc"]
     assert summary["config"]["variant"] == "full"
     assert summary["config"]["t_max"] == "6"
     assert summary["wall_clock_seconds"] > 0.0
+    assert summary["load_seconds"] > 0.0
+    assert summary["numpy_version"] == np.__version__
+    assert summary["blas_threads_env"] == {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "1",
+                                           "MKL_NUM_THREADS": None}
 
 
 def test_reloaded_checkpoint_scores_the_summary_accuracy(data_dir, tmp_path, capsys):
@@ -216,6 +226,138 @@ def test_divergent_run_exits_4(data_dir, tmp_path, capsys):
 def test_no_arguments_exits_2(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------- pair load
+
+def _fork_always(monkeypatch) -> list:
+    """Make every pair load fork; the list returned records each fork."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "PAIR_FORK_FLOOR", 0)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    return calls
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    return _fork_always(monkeypatch)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_pair_load_equals_the_serial_load(data_dir, forks):
+    paths = (data_dir / "source.csv", data_dir / "target_unlabeled.csv")
+    pair = cli._load_pair(*paths, ("source", "target"))
+    assert len(forks) == 1
+    _assert_no_child_left()
+    for got, path, name in zip(pair, paths, ("source", "target")):
+        want = load_csv(path, name=name)
+        assert got.features.dtype == want.features.dtype
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.dtype == want.labels.dtype
+        assert np.array_equal(got.labels, want.labels)
+        assert (got.class_count, got.name) == (want.class_count, want.name)
+
+
+_GOOD = "# classes=2\nlabel,f0\n0,1.5\n1,-2.0\n"
+_BAD = "# classes=2\nlabel,f0\n0,1.5\n1,oops\n"
+
+
+# a missing file has no size, so that load stays serial; a directory has
+# one, and the child fails to open it
+@pytest.mark.parametrize("source_text, target_text, forked", [
+    (_GOOD, _BAD, 2), (_BAD, _GOOD, 2), (_BAD, _BAD.replace("0,1.5", "5,1.5"), 2),
+    (_GOOD, None, 0), (_GOOD, "dir", 2),
+], ids=["bad target line", "bad source line", "both bad", "missing target",
+        "target is a directory"])
+def test_forked_pair_load_fails_as_the_serial_load(tmp_path, capsys, monkeypatch,
+                                                   source_text, target_text, forked):
+    source = _write(tmp_path / "source.csv", source_text)
+    target = tmp_path / "target.csv"
+    if target_text == "dir":
+        target.mkdir()
+    elif target_text is not None:
+        _write(target, target_text)
+    argv = ["distance", "--a", source, "--b", str(target)]
+
+    outcomes, calls = [], []
+    for fork in (False, True):
+        if fork:
+            calls = _fork_always(monkeypatch)
+        with pytest.raises(Exception) as caught:
+            cli._load_pair(source, target, ("a", "b"))
+        code = main(argv)
+        outcomes.append((type(caught.value), str(caught.value), code,
+                         capsys.readouterr().err))
+    assert len(calls) == forked
+    _assert_no_child_left()
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][2] == (3 if target_text in (None, "dir") else 2)
+
+
+def test_a_child_that_exits_non_zero_after_sending_is_not_trusted(data_dir, forks,
+                                                                  monkeypatch):
+    send = cli._send
+
+    def send_then_fail(fd, dataset):
+        send(fd, dataset)
+        raise OSError("after the send")
+
+    parsed_here = []
+
+    def load_here(path, **kwargs):
+        parsed_here.append(path)
+        return load_csv(path, **kwargs)
+
+    monkeypatch.setattr(cli, "_send", send_then_fail)
+    monkeypatch.setattr(cli, "load_csv", load_here)
+    paths = (data_dir / "source.csv", data_dir / "target.csv")
+    cli._load_pair(*paths, ("source", "target"))
+    assert len(forks) == 1
+    _assert_no_child_left()
+    assert parsed_here == list(paths)
+
+
+def test_train_writes_the_same_bytes_whether_the_pair_load_forks(data_dir, tmp_path,
+                                                                 monkeypatch):
+    argv = ["train", "--source", str(data_dir / "source.csv"),
+            "--target", str(data_dir / "target.csv")] + FAST
+    assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+    calls = _fork_always(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path / "forked")]) == 0
+    assert len(calls) == 1
+    _assert_no_child_left()
+    for name in ("metrics.jsonl", "model.bin"):
+        assert (tmp_path / "serial" / name).read_bytes() == \
+            (tmp_path / "forked" / name).read_bytes()
+
+
+def test_a_pair_under_the_floor_loads_without_forking(tmp_path, monkeypatch):
+    # the rotated-blobs pair at the synth defaults, as the narrow benchmark
+    # workloads write it
+    source, target = gen_rotated_blobs(SynthSpec(shift_angle=40.0))
+    paths = (tmp_path / "source.csv", tmp_path / "target.csv")
+    for dataset, path in zip((source, target), paths):
+        save_csv(dataset, path)
+        assert 500_000 < path.stat().st_size < cli.PAIR_FORK_FLOOR
+
+    def fork():
+        raise AssertionError("forked under the floor")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    loaded = cli._load_pair(*paths, ("source", "target"))
+    assert [len(d) for d in loaded] == [len(source), len(target)]
 
 
 # ---------------------------------------------------------------- distance

@@ -1,4 +1,5 @@
 """Dataset validation, CSV round trips, and the rotated-blobs generator."""
+import re
 import tracemalloc
 import warnings
 
@@ -112,6 +113,14 @@ def test_csv_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ParseError, match=":1:"):
         load_csv(path)
 
+    # the class count takes the labels' int64 grammar: one plain integer
+    for value in ("1_0", " \u0663", "", "3,4", "3.0", "99999999999999999999"):
+        path.write_text(f"# classes={value}\nlabel,f0\n")
+        with pytest.raises(ParseError, match=f"{re.escape(str(path))}:1: bad class count"):
+            load_csv(path)
+    path.write_text("# classes= +4 \nlabel,f0\n3,0.5\n")
+    assert load_csv(path).class_count == 4
+
     path.write_text("")
     with pytest.raises(ParseError):
         load_csv(path)
@@ -193,7 +202,10 @@ _INSTALLED_LOADTXT = np.loadtxt
 def _loadtxt_parsing_ints_via_float(fname, dtype, **kwargs):
     """np.loadtxt as older numpy runs it on a float label: it warns, and
     unless the warning is an error (which numpy wraps in a ValueError) it
-    truncates the label."""
+    truncates the label. The "# classes=C" value holds a plain integer,
+    which older numpy parses without the warning."""
+    if dtype.names is None:
+        return _INSTALLED_LOADTXT(fname, dtype=dtype, **kwargs)
     try:
         warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
                       DeprecationWarning)
