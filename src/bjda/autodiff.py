@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, InputError, NumericalError
+from .errors import ConfigError, DimensionError, DomainError, InputError, NumericalError
 
 # Singular values at or below EPS_RANK * sigma_max are treated as zero when
 # forming the nuclear-norm subgradient U_r V_r^T.
@@ -476,10 +476,17 @@ def triplet_hinge(d: Value, labels, margin: float) -> Value:
     """Batch-all triplet hinge sum, as a 1x1 matrix.
 
     Sums max{d_ij - d_ik + margin, 0} over anchors i, same-class j != i and
-    other-class k, reading anchor rows of the n x n matrix d. Each class is
-    handled on its d[own, own] and d[own, other] blocks. A triple is active
-    where (d_ij - d_ik) + margin > 0; the adjoint adds each entry's active
-    count at d_ij and subtracts it at d_ik, times the upstream gradient.
+    other-class k, reading anchor rows of the n x n matrix d. Rounding is
+    monotone, so the float test (d_ij - d_ik) + margin > 0 is monotone in
+    d_ik: it holds exactly when d_ik < T_ij, the smallest float q with
+    (d_ij - q) + margin <= 0, found from d_ij + margin by nextafter steps.
+    One sort of each anchor row, holding T_ij at same-class columns (T_ii =
+    -inf drops j == i) and d_ik at the others, a threshold before an equal
+    distance (argsort, or lexsort when a row holds equal keys), gives both
+    counts as running sums: counts[i, j] is the number of negatives below
+    T_ij, counts[i, k] minus the number of thresholds above d_ik. The value
+    is <counts, d> + margin * (active triples); the adjoint is the upstream
+    gradient times counts. O(n^2 log n) time, O(n^2) memory.
     """
     n = d.shape[0]
     labels = np.asarray(labels)
@@ -487,18 +494,31 @@ def triplet_hinge(d: Value, labels, margin: float) -> Value:
         raise DimensionError(f"triplet_hinge: expected a square matrix and one label "
                              f"per row, got {d.shape} and {labels.shape}")
     margin = float(margin)
-    total = 0.0
-    counts = np.zeros((n, n))
-    for c in np.unique(labels):
-        own = np.flatnonzero(labels == c)
-        other = np.flatnonzero(labels != c)
-        rows = d.value[own]
-        expr = (rows[:, own, None] - rows[:, None, other]) + margin
-        active = expr > 0.0
-        active[np.arange(own.size), np.arange(own.size)] = False   # j == i
-        total += expr[active].sum()
-        counts[np.ix_(own, own)] = active.sum(axis=2)
-        counts[np.ix_(own, other)] = -active.sum(axis=1)
+    if not np.isfinite(margin):
+        raise ConfigError(f"triplet_hinge: margin must be finite, got {margin}")
+    same = labels[:, None] == labels
+    pos = d.value[same]
+    t = np.nextafter(pos + margin, np.inf)   # above pos + margin, so inactive
+    while True:
+        below = np.nextafter(t, -np.inf)
+        down = (pos - below) + margin <= 0.0
+        if not down.any():
+            break
+        t = np.where(down, below, t)
+    keys = d.value.copy()
+    keys[same] = t
+    np.fill_diagonal(keys, -np.inf)   # j == i: no negative lies below it
+    order = np.argsort(keys, axis=1)
+    ranked = np.sort(keys, axis=1)
+    if (ranked[:, 1:] == ranked[:, :-1]).any():   # put thresholds before equal distances
+        order = np.lexsort((~same, keys), axis=1)
+    is_neg = labels[order] != labels[:, None]
+    negs_before = np.cumsum(is_neg, axis=1)
+    thresholds_after = np.count_nonzero(same, axis=1)[:, None] - np.arange(1, n + 1) + negs_before
+    counts = np.empty((n, n))
+    np.put_along_axis(counts, order, np.where(is_neg, -thresholds_after, negs_before), axis=1)
+    # each active triple adds +1 at (i, j) and -1 at (i, k)
+    total = np.vdot(counts, d.value) + margin * (np.abs(counts).sum() / 2)
 
     def backward(g):
         _accumulate(d, g[0, 0] * counts, owned=True)

@@ -170,8 +170,8 @@ def l_trip(g: Value, labels: np.ndarray, margin: float) -> tuple[Value, int]:
     than two classes contributes 0; the second return flags that case.
     """
     margin = float(margin)
-    if margin < 0.0:
-        raise ConfigError(f"l_trip: margin must be >= 0, got {margin}")
+    if not 0.0 <= margin < np.inf:
+        raise ConfigError(f"l_trip: margin must be finite and >= 0, got {margin}")
     n = g.shape[0]
     labels = np.asarray(labels)
     if labels.shape[0] != n:

@@ -1,5 +1,7 @@
 """Tape mechanics and per-op checks for the reverse-mode engine."""
 import gc
+import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,10 +11,12 @@ from hypothesis import strategies as st
 
 from bjda import autodiff as ad
 from bjda.autodiff import Tape, as_matrix
-from bjda.errors import DimensionError, DomainError, InputError
+from bjda.data import SynthSpec, gen_rotated_blobs
+from bjda.errors import ConfigError, DimensionError, DomainError, InputError
 from bjda.gradcheck import central_difference, max_rel_error
 from bjda.losses import l_cls
-from bjda.model import ModelDims, forward_f, forward_g, init_xavier, make_leaves
+from bjda.model import ModelDims, forward_f, forward_g, init_xavier, make_leaves, save_checkpoint
+from bjda.train import TrainConfig, train
 
 
 def leafpair(a, b):
@@ -530,6 +534,98 @@ def test_triplet_hinge_records_one_node_and_checks_shapes():
         ad.triplet_hinge(leaf, np.array([0, 1]), 1.0)
     with pytest.raises(DimensionError):
         ad.triplet_hinge(tape.leaf(np.zeros((3, 2))), np.array([0, 1, 1]), 1.0)
+
+
+@pytest.mark.parametrize("margin", [np.nan, np.inf])
+def test_triplet_hinge_rejects_a_non_finite_margin(margin):
+    leaf = Tape().leaf(np.zeros((3, 3)))
+    with pytest.raises(ConfigError, match="finite"):
+        ad.triplet_hinge(leaf, np.array([0, 1, 1]), margin)
+
+
+@pytest.mark.parametrize("margin", [0.0, 1.0])
+def test_triplet_hinge_matches_triple_loop_at_the_benchmark_shape(margin):
+    # 128 margin rows in 4 classes, as l_trip sees them at batch 64 + 64
+    rng = np.random.default_rng(int(margin))
+    check_triplet_hinge(distances(rng.normal(size=(128, 8))), rng.integers(0, 4, size=128),
+                        margin)
+
+
+def test_triplet_hinge_exact_on_collinear_integer_points():
+    # every distance is an integer, so many d_ij - d_ik == -margin sit exactly
+    # on the threshold and must stay inactive
+    rng = np.random.default_rng(7)
+    points = np.zeros((128, 2))
+    points[:, 0] = rng.integers(0, 12, size=128)
+    labels = rng.integers(0, 4, size=128)
+    for margin in (0.0, 1.0, 2.0):
+        check_triplet_hinge(distances(points), labels, margin)
+    labels[0] = 4   # a one-member class: its anchor has no positive
+    check_triplet_hinge(distances(points), labels, 1.0)
+    check_triplet_hinge(distances(points[:24]), np.zeros(24, int), 1.0)   # one class
+
+
+def triplet_hinge_cube(d, labels, margin):
+    """The per-class cube formulation of triplet_hinge, kept as an oracle:
+    it builds every (anchor, positive, negative) hinge argument of a class
+    as one n_c x n_c x (n - n_c) array."""
+    n = d.shape[0]
+    labels = np.asarray(labels)
+    margin = float(margin)
+    total = 0.0
+    counts = np.zeros((n, n))
+    for c in np.unique(labels):
+        own = np.flatnonzero(labels == c)
+        other = np.flatnonzero(labels != c)
+        rows = d.value[own]
+        expr = (rows[:, own, None] - rows[:, None, other]) + margin
+        active = expr > 0.0
+        active[np.arange(own.size), np.arange(own.size)] = False   # j == i
+        total += expr[active].sum()
+        counts[np.ix_(own, own)] = active.sum(axis=2)
+        counts[np.ix_(own, other)] = -active.sum(axis=1)
+
+    def backward(g):
+        ad._accumulate(d, g[0, 0] * counts, owned=True)
+
+    return d.tape._record(np.array([[total]]), backward, d)
+
+
+def test_triplet_training_keeps_the_cube_oracles_parameters(monkeypatch, tmp_path):
+    # the pinned benchmark's data and widths, 40 iterations of triplet
+    source, target = gen_rotated_blobs(SynthSpec(shift_angle=40.0))
+    cfg = TrainConfig(variant="triplet", hidden_dim=128, feat_dim=64, t_max=40, eval_every=40)
+    runs = []
+    for op in (ad.triplet_hinge, triplet_hinge_cube):
+        monkeypatch.setattr(ad, "triplet_hinge", op)
+        params, metrics = train(source, target, cfg)
+        save_checkpoint(params, tmp_path / "model.bin")
+        runs.append(((tmp_path / "model.bin").read_bytes(),
+                     [json.loads(line) for line in metrics.to_jsonl().splitlines()]))
+    (model, rows), (cube_model, cube_rows) = runs
+    assert model == cube_model
+    assert len(rows) == len(cube_rows) == 40
+    for row, cube_row in zip(rows, cube_rows):
+        for key in ("l_dmc", "total"):
+            value, cube_value = row.pop(key), cube_row.pop(key)
+            assert abs(value - cube_value) <= 1e-12 * abs(cube_value)
+        assert row == cube_row
+
+
+def test_triplet_hinge_allocates_no_triple_cube():
+    # n = 256 in 4 classes: the cube formulation peaks near 28 n^2 float64s here,
+    # the sorted count near 9 n^2
+    n = 256
+    rng = np.random.default_rng(3)
+    leaf = Tape().leaf(distances(rng.normal(size=(n, 8))))
+    labels = rng.integers(0, 4, size=n)
+    tracemalloc.start()
+    try:
+        ad.triplet_hinge(leaf, labels, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * n * n * 8
 
 
 @st.composite

@@ -511,6 +511,14 @@ def test_trip_rejects_negative_margin_and_bad_shapes():
         l_trip(g, np.array([0, 1, 0]), 1.0)
 
 
+@pytest.mark.parametrize("margin", [np.nan, np.inf])
+def test_trip_rejects_a_non_finite_margin(margin):
+    # nan < 0 is false, so a sign test alone would let a nan margin through
+    g = Tape().leaf(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), "g")
+    with pytest.raises(ConfigError, match="finite"):
+        l_trip(g, np.array([0, 0, 1]), margin)
+
+
 # ---------------------------------------------------------------- total
 
 def test_total_weighted_sum_hand_value():
