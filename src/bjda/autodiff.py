@@ -480,13 +480,15 @@ def triplet_hinge(d: Value, labels, margin: float) -> Value:
     monotone, so the float test (d_ij - d_ik) + margin > 0 is monotone in
     d_ik: it holds exactly when d_ik < T_ij, the smallest float q with
     (d_ij - q) + margin <= 0, found from d_ij + margin by nextafter steps.
-    One sort of each anchor row, holding T_ij at same-class columns (T_ii =
-    -inf drops j == i) and d_ik at the others, a threshold before an equal
-    distance (argsort, or lexsort when a row holds equal keys), gives both
-    counts as running sums: counts[i, j] is the number of negatives below
-    T_ij, counts[i, k] minus the number of thresholds above d_ik. The value
-    is <counts, d> + margin * (active triples); the adjoint is the upstream
-    gradient times counts. O(n^2 log n) time, O(n^2) memory.
+    One lexsort of each anchor row, holding T_ij at same-class columns (T_ii
+    = -inf drops j == i) and d_ik at the others, a threshold before an equal
+    distance, gives both counts as running sums: counts[i, j] is the number
+    of negatives below T_ij, counts[i, k] minus the number of thresholds
+    above d_ik. The counts are exact; the adjoint is the upstream gradient
+    times counts. The value is <counts, d> + margin * (active triples), so
+    it rounds like that dot product: its error scales with sum |counts * d|,
+    not with the hinge sum, and hinges tiny against the distances can lose
+    every digit of the value. O(n^2 log n) time, O(n^2) memory.
     """
     n = d.shape[0]
     labels = np.asarray(labels)
@@ -508,10 +510,7 @@ def triplet_hinge(d: Value, labels, margin: float) -> Value:
     keys = d.value.copy()
     keys[same] = t
     np.fill_diagonal(keys, -np.inf)   # j == i: no negative lies below it
-    order = np.argsort(keys, axis=1)
-    ranked = np.sort(keys, axis=1)
-    if (ranked[:, 1:] == ranked[:, :-1]).any():   # put thresholds before equal distances
-        order = np.lexsort((~same, keys), axis=1)
+    order = np.lexsort((~same, keys), axis=1)   # a threshold before an equal distance
     is_neg = labels[order] != labels[:, None]
     negs_before = np.cumsum(is_neg, axis=1)
     thresholds_after = np.count_nonzero(same, axis=1)[:, None] - np.arange(1, n + 1) + negs_before

@@ -565,6 +565,26 @@ def test_triplet_hinge_exact_on_collinear_integer_points():
     check_triplet_hinge(distances(points[:24]), np.zeros(24, int), 1.0)   # one class
 
 
+@pytest.mark.parametrize("ulps", [0, 2])
+def test_triplet_hinge_value_rounds_against_the_weighted_distances(ulps):
+    # entries near 1e6 a few ulps apart, so every active hinge is a few ulps:
+    # the counts stay exact, but <counts, d> cancels, and the value's error is
+    # bounded by sum |counts * d|, not by the hinge sum
+    rng = np.random.default_rng(11)
+    n = 32
+    ulp = np.spacing(1e6)
+    d = 1e6 + ulp * rng.integers(0, 8, size=(n, n))
+    labels = np.arange(n) % 4
+    ref_value, ref_counts = triplet_reference(d, labels, ulps * ulp)
+    tape = Tape()
+    leaf = tape.leaf(d)
+    out = ad.triplet_hinge(leaf, labels, ulps * ulp)
+    tape.backward(out)
+    assert np.array_equal(leaf.grad, ref_counts)
+    assert ref_value > 0.0
+    assert abs(out.item() - ref_value) <= 1e-12 * np.abs(ref_counts * d).sum()
+
+
 def triplet_hinge_cube(d, labels, margin):
     """The per-class cube formulation of triplet_hinge, kept as an oracle:
     it builds every (anchor, positive, negative) hinge argument of a class
@@ -605,6 +625,8 @@ def test_triplet_training_keeps_the_cube_oracles_parameters(monkeypatch, tmp_pat
     (model, rows), (cube_model, cube_rows) = runs
     assert model == cube_model
     assert len(rows) == len(cube_rows) == 40
+    # the logged hinge sums may round differently; 1e-12 holds on this data,
+    # where the hinges are not small against the distances
     for row, cube_row in zip(rows, cube_rows):
         for key in ("l_dmc", "total"):
             value, cube_value = row.pop(key), cube_row.pop(key)
@@ -614,7 +636,7 @@ def test_triplet_training_keeps_the_cube_oracles_parameters(monkeypatch, tmp_pat
 
 def test_triplet_hinge_allocates_no_triple_cube():
     # n = 256 in 4 classes: the cube formulation peaks near 28 n^2 float64s here,
-    # the sorted count near 9 n^2
+    # the sorted count near 8 n^2
     n = 256
     rng = np.random.default_rng(3)
     leaf = Tape().leaf(distances(rng.normal(size=(n, 8))))
