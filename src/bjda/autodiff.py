@@ -408,24 +408,6 @@ def take(a: Value, rows, cols=None) -> Value:
     return a.tape._record(picked if cols is None else picked.reshape(-1, 1), backward, a)
 
 
-def _centered(x: np.ndarray) -> np.ndarray:
-    x = x - x.mean(axis=0, keepdims=True)
-    return x - x.mean(axis=1, keepdims=True)
-
-
-def center(a: Value) -> Value:
-    """H_n a H_m for the n x m matrix a, H_k = I - (1/k) 1 1^T, in O(nm).
-
-    Subtracts the column means, then the row means of what is left. The
-    centering matrices are symmetric, so the op is its own adjoint.
-    """
-
-    def backward(g):
-        _accumulate(a, _centered(g), owned=True)
-
-    return a.tape._record(_centered(a.value), backward, a)
-
-
 def add_rowvec(a: Value, b: Value) -> Value:
     """Add the 1 x m row vector b to every row of the n x m matrix a."""
     tape = _join(a, b)

@@ -30,7 +30,7 @@ from . import autodiff as ad
 from . import losses as L
 from .autodiff import Tape, Value
 from .errors import NumericalError
-from .kernels import KernelSpec
+from .kernels import KernelSpec, kbw_sq
 from .model import ModelDims, PARAM_NAMES, forward_f, forward_g, init_xavier
 from .train import RunMetrics, TrainConfig, batch_constants, l_da, objective
 
@@ -362,7 +362,9 @@ def build_cases(seed: int = 0) -> list[CheckCase]:
     cases.append(CheckCase("take_entries", [rng.standard_normal((4, 5))],
                            _weighted(lambda t, l: ad.take(l[0], [0, 3, 3, 1, 0], [2, 4, 4, 0, 1]),
                                      rng.standard_normal((5, 1))), 1e-6))
-    cases.append(CheckCase("center", [rng.standard_normal((4, 3))],
-                           _weighted(lambda t, l: ad.center(l[0]), rng.standard_normal((4, 3))),
-                           1e-6))
+    for kind, bandwidth_sq, (n, m, d) in (("gaussian", 2.0, (4, 5, 3)), ("linear", None, (5, 6, 2))):
+        spec = KernelSpec(kind, bandwidth_sq)
+        cases.append(CheckCase(f"kbw_sq_{kind}", [rng.standard_normal((n, d)),
+                                                  rng.standard_normal((m, d))],
+                               lambda t, l, spec=spec: kbw_sq(l[0], l[1], spec), 1e-4))
     return cases

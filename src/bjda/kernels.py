@@ -34,10 +34,11 @@ class KernelSpec:
     """Kernel choice plus an optional fixed Gaussian bandwidth.
 
     bandwidth_sq is sigma^2 in k(x, y) = exp(-|x - y|^2 / sigma^2). When None,
-    the bandwidth comes from the mean-distance heuristic: kbw_sq takes it once
-    from the pooled rows of both samples and uses it for all three of its
-    Gram matrices (one kernel, one RKHS); a lone kernel_matrix call takes it
-    from the pairs of that matrix. The linear kernel takes no bandwidth_sq.
+    the bandwidth comes from the mean-distance heuristic, gaussian_bandwidth:
+    kbw_sq takes it once over the pooled rows of both samples and uses it for
+    all three of its Gram matrices (one kernel, one RKHS); a lone
+    kernel_matrix call takes it over the pairs (a_i, b_j) of that matrix.
+    The linear kernel takes no bandwidth_sq.
     """
     kind: str = GAUSSIAN
     bandwidth_sq: float | None = None
@@ -55,7 +56,12 @@ class KernelSpec:
 
 
 def gaussian_bandwidth(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean of all pairwise squared Euclidean distances; 1.0 if that is zero.
+    """Mean squared Euclidean distance over all pairs (a_i, b_j); 1.0 if that is zero.
+
+    Computed without the n x m distance matrix, in O((n + m) d): with mu_a and
+    mu_b the row means, the mean of |a_i - b_j|^2 is
+
+        (1/n) sum_i |a_i - mu_a|^2 + (1/m) sum_j |b_j - mu_b|^2 + |mu_a - mu_b|^2.
 
     Returned as a plain scalar: the bandwidth is held fixed (not
     differentiated through) wherever the kernel itself is differentiated.
@@ -64,7 +70,19 @@ def gaussian_bandwidth(a: np.ndarray, b: np.ndarray) -> float:
     b = as_matrix(b, "b")
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise InputError("gaussian_bandwidth: need at least one row on each side")
-    mean = float(pairwise_sqdist_matrix(a, b).mean())
+    if a.shape[1] != b.shape[1]:
+        raise DimensionError(f"gaussian_bandwidth: row lengths differ, {a.shape} vs {b.shape}")
+    # measured from one row, so that identical rows give exactly 0 and the fallback
+    shift = a[0].copy()
+    a -= shift
+    b -= shift
+    mu_a = a.mean(axis=0)
+    mu_b = b.mean(axis=0)
+    dev_a = a - mu_a
+    dev_b = b - mu_b
+    gap = mu_a - mu_b
+    mean = float(np.vdot(dev_a, dev_a) / a.shape[0] + np.vdot(dev_b, dev_b) / b.shape[0]
+                 + np.vdot(gap, gap))
     return mean if mean > 0.0 else 1.0
 
 
@@ -76,13 +94,100 @@ def _as_value(x, tape: Tape | None, name: str) -> Value:
     return tape.leaf(x, name)
 
 
+def _centered(x: np.ndarray) -> np.ndarray:
+    """H_n x H_m for the n x m matrix x, H_k = I - (1/k) 1 1^T, in O(nm):
+    the column means come off, then the row means of what is left."""
+    x = x - x.mean(axis=0, keepdims=True)
+    return x - x.mean(axis=1, keepdims=True)
+
+
+def _gram(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """K[i, j] = k(a_i, b_j) for a spec whose Gaussian bandwidth is fixed."""
+    if spec.kind == LINEAR:
+        return a @ b.T
+    return np.exp(pairwise_sqdist_matrix(a, b) * (-1.0 / spec.bandwidth_sq))
+
+
+def _gram_adjoint(a: np.ndarray, b: np.ndarray, k: np.ndarray, spec: KernelSpec,
+                  dk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradients in a and in b of <dk, K> for K = _gram(a, b, spec).
+
+    Gaussian: the chain through exp and pairwise_sqdist's adjoint, with
+    D = dk * K * (-1/sigma^2): 2 (rowsum(D) a - D b) and 2 (colsum(D) b - D^T a).
+    """
+    if spec.kind == LINEAR:
+        return dk @ b, dk.T @ a
+    dd = dk * k
+    dd *= -1.0 / spec.bandwidth_sq
+    return (2.0 * (dd.sum(axis=1, keepdims=True) * a - dd @ b),
+            2.0 * (dd.sum(axis=0)[:, None] * b - dd.T @ a))
+
+
+def _gram_node(av: Value, bv: Value, spec: KernelSpec, centered: bool) -> Value:
+    """One tape node holding K_ab, or with centered H_n K_ab H_m; its adjoint
+    goes straight into a and b (centering is symmetric, so it centers the
+    upstream gradient first)."""
+    tape = ad._join(av, bv)
+    a, b = av.value, bv.value
+    k = _gram(a, b, spec)
+
+    def backward(g):
+        da, db = _gram_adjoint(a, b, k, spec, _centered(g) if centered else g)
+        ad._accumulate(av, da, owned=True)
+        ad._accumulate(bv, db, owned=True)
+
+    return tape._record(_centered(k) if centered else k, backward, av, bv)
+
+
+def _self_term(k: np.ndarray) -> float:
+    """(1/r) tr(H K H) for an r x r Gram matrix K: tr(H K H) = tr K - 1^T K 1 / r."""
+    r = k.shape[0]
+    return (np.trace(k) - k.sum() / r) / r
+
+
+def _self_term_grad(x: np.ndarray, k: np.ndarray, spec: KernelSpec, coef: float) -> np.ndarray:
+    """Gradient in x of coef * _self_term(K) for K = _gram(x, x, spec).
+
+    The gradient in K is coef * H / r. x sits on both sides of K, and K and H
+    are symmetric, so the two sides' shares of _gram_adjoint are equal.
+    """
+    r = x.shape[0]
+    if spec.kind == LINEAR:   # d/dx tr(H x x^T) = 2 H x
+        return (2.0 * coef / r) * (x - x.mean(axis=0))
+    # (coef / r) (H o K) (-1/sigma^2), with -1/r for H: its diagonal adds
+    # nothing, because k(x_i, x_i) does not move with x_i
+    dd = k * (coef / (r * r * spec.bandwidth_sq))
+    return 4.0 * (dd.sum(axis=1, keepdims=True) * x - dd @ x)
+
+
+def _bures_combine(av: Value, bv: Value, coupling: Value, spec: KernelSpec) -> Value:
+    """max((1/n) tr(H K_aa H) + (1/m) tr(H K_bb H) - 2/sqrt(nm) coupling, 0) as
+    one node; gradient passes only while the value is above 0."""
+    a, b = av.value, bv.value
+    k_aa, k_bb = _gram(a, a, spec), _gram(b, b, spec)
+    weight = 2.0 / np.sqrt(a.shape[0] * b.shape[0])
+    dist_sq = _self_term(k_aa) + _self_term(k_bb) - weight * coupling.item()
+
+    def backward(g):
+        if dist_sq <= 0.0:
+            return
+        if not av.constant:
+            ad._accumulate(av, _self_term_grad(a, k_aa, spec, g[0, 0]), owned=True)
+        if not bv.constant:
+            ad._accumulate(bv, _self_term_grad(b, k_bb, spec, g[0, 0]), owned=True)
+        ad._accumulate(coupling, g * -weight, owned=True)
+
+    return av.tape._record(np.array([[max(dist_sq, 0.0)]]), backward, av, bv, coupling)
+
+
 def kernel_matrix(a, b, spec: KernelSpec = KernelSpec(),
                   tape: Tape | None = None) -> Value:
-    """Kernel matrix K[i, j] = k(a_i, b_j), differentiable w.r.t. a and b.
+    """Kernel matrix K[i, j] = k(a_i, b_j) as one tape node, differentiable
+    w.r.t. a and b.
 
     a and b may be Values on a shared tape or plain matrices (then a tape is
     required). A Gaussian spec without a fixed bandwidth takes the heuristic
-    from the pairs of this one matrix.
+    over the pairs of this one matrix.
     """
     if tape is None:
         if isinstance(a, Value):
@@ -93,12 +198,9 @@ def kernel_matrix(a, b, spec: KernelSpec = KernelSpec(),
     bv = _as_value(b, tape, "b")
     if av.shape[1] != bv.shape[1]:
         raise DimensionError(f"kernel_matrix: feature dims differ, {av.shape} vs {bv.shape}")
-    if spec.kind == LINEAR:
-        return av @ bv.T
-    sigma_sq = spec.bandwidth_sq
-    if sigma_sq is None:
-        sigma_sq = gaussian_bandwidth(av.value, bv.value)
-    return ad.scale(ad.pairwise_sqdist(av, bv), -1.0 / sigma_sq).exp()
+    if spec.kind == GAUSSIAN and spec.bandwidth_sq is None:
+        spec = KernelSpec(GAUSSIAN, gaussian_bandwidth(av.value, bv.value))
+    return _gram_node(av, bv, spec, centered=False)
 
 
 def kbw_sq(a, b, spec: KernelSpec = KernelSpec(),
@@ -111,10 +213,14 @@ def kbw_sq(a, b, spec: KernelSpec = KernelSpec(),
         (1/n) tr(H_n K_aa H_n) + (1/m) tr(H_m K_bb H_m)
         - (2 / sqrt(n m)) |H_n K_ab H_m|_*
 
-    clamped at zero, with each centered Gram matrix one autodiff.center node.
-    This is the distance between two covariance operators only when K_aa,
-    K_bb and K_ab come from one kernel, so a Gaussian kernel without a fixed
-    bandwidth gets one heuristic bandwidth from the pooled rows of a and b.
+    clamped at zero. One call records three tape nodes: the centered cross
+    Gram matrix H_n K_ab H_m, its autodiff.nuclear_norm, and a node for the
+    rest, which takes each self term as (tr K - 1^T K 1 / r) / r with the
+    closed-form gradient H / r in K and passes gradient only while the value
+    is above 0. Every adjoint goes straight into a and b. This is the
+    distance between two covariance operators only when K_aa, K_bb and K_ab
+    come from one kernel, so a Gaussian kernel without a fixed bandwidth gets
+    one gaussian_bandwidth over the pooled rows of a and b.
     """
     if tape is None:
         tape = a.tape if isinstance(a, Value) else (b.tape if isinstance(b, Value) else Tape())
@@ -129,16 +235,8 @@ def kbw_sq(a, b, spec: KernelSpec = KernelSpec(),
     if spec.kind == GAUSSIAN and spec.bandwidth_sq is None:
         pooled = np.vstack([av.value, bv.value])
         spec = KernelSpec(GAUSSIAN, gaussian_bandwidth(pooled, pooled))
-
-    k_aa = kernel_matrix(av, av, spec, tape)
-    k_bb = kernel_matrix(bv, bv, spec, tape)
-    k_ab = kernel_matrix(av, bv, spec, tape)
-
-    term_a = ad.scale(ad.center(k_aa).trace(), 1.0 / n)
-    term_b = ad.scale(ad.center(k_bb).trace(), 1.0 / m)
-    coupling = ad.nuclear_norm(ad.center(k_ab))
-    dist_sq = term_a + term_b - ad.scale(coupling, 2.0 / np.sqrt(n * m))
-    return ad.clamp_min(dist_sq, 0.0)
+    coupling = ad.nuclear_norm(_gram_node(av, bv, spec, centered=True))
+    return _bures_combine(av, bv, coupling, spec)
 
 
 def _sym_eig_clamped(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -41,6 +41,11 @@ _VARIANT_TERMS = {
 }
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Training hyper-parameters, one config key per field. A kernel_bandwidth_sq
@@ -77,6 +82,7 @@ class TrainConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         self.kernel  # KernelSpec rejects an unknown kind and a bandwidth <= 0
+        _check_seed(self.seed)
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -534,6 +540,8 @@ def run_suite(source: Dataset, target: Dataset, cfg: TrainConfig,
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant {v!r}")
+    for s in seeds:  # a bad seed fails the sweep before any cell runs
+        _check_seed(s)
     configs = [replace(cfg, variant=v, seed=s) for v in variants for s in seeds]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -669,7 +669,7 @@ def test_triplet_hinge_property_matches_triple_loop(batch):
 
 
 # ---------------------------------------------------------------------------
-# take and center against plain numpy
+# take against plain numpy
 
 
 @st.composite
@@ -708,26 +708,3 @@ def test_take_checks_index_shapes():
         ad.take(leaf, np.zeros((2, 2), dtype=int))
     with pytest.raises(DimensionError):
         ad.take(leaf, [0, 1], [0])
-
-
-@st.composite
-def center_batches(draw):
-    n, m = draw(st.integers(1, 9)), draw(st.integers(1, 9))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    offset = draw(st.sampled_from([0.0, 1.0, -30.0]))
-    return offset + rng.normal(size=(n, m)), rng.normal(size=(n, m))
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(center_batches())
-def test_center_property_matches_dense_centering_matrices(batch):
-    a, upstream = batch
-    n, m = a.shape
-    h_n = np.eye(n) - np.full((n, n), 1.0 / n)
-    h_m = np.eye(m) - np.full((m, m), 1.0 / m)
-    tape = Tape()
-    leaf = tape.leaf(a)
-    out = ad.center(leaf)
-    assert np.abs(out.value - h_n @ a @ h_m).max() <= 1e-12 * max(1.0, np.abs(a).max())
-    out._backward(upstream)
-    assert np.array_equal(leaf.grad, ad.center(Tape().leaf(upstream)).value)

@@ -215,6 +215,16 @@ def test_non_finite_float_keys_exit_2_before_training(data_dir, tmp_path, capsys
     assert not out.exists()
 
 
+def test_a_negative_seed_exits_2_before_training(data_dir, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["train", "--source", str(data_dir / "source.csv"),
+                 "--target", str(data_dir / "target.csv"),
+                 "--set", "seed=-1", "--out", str(out)] + FAST)
+    assert code == 2
+    assert capsys.readouterr().err.strip() == "error: seed must be >= 0, got -1"
+    assert not out.exists()
+
+
 def test_divergent_run_exits_4(data_dir, tmp_path, capsys):
     code = main(["train", "--source", str(data_dir / "source.csv"),
                  "--target", str(data_dir / "target.csv"),
@@ -423,7 +433,7 @@ def test_distance_ot_unequal_sizes_exits_2(tmp_path, capsys):
 def test_gradcheck_passes_and_lists_every_case(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
-    assert "all 27 gradient checks passed" in out
+    assert "all 28 gradient checks passed" in out
     for name in ("nuclear_norm", "triplet_hinge", "l_dmc", "end_to_end"):
         assert re.search(rf"^{name}\s+max rel err", out, re.M)
 
@@ -502,6 +512,20 @@ def test_suite_rejects_malformed_seeds(data_dir, tmp_path, capsys):
                  "--seeds", "0,x", "--out", str(tmp_path / "s")])
     assert code == 2
     capsys.readouterr()
+
+
+def test_suite_checks_every_seed_before_running_a_cell(data_dir, tmp_path, capsys,
+                                                       monkeypatch):
+    train_module = importlib.import_module("bjda.train")
+    ran = []
+    monkeypatch.setattr(train_module, "train", lambda *args: ran.append(args))
+    out = tmp_path / "s"
+    code = main(["suite", "--source", str(data_dir / "source.csv"),
+                 "--target", str(data_dir / "target.csv"),
+                 "--seeds", "0,1,-1", "--out", str(out)] + FAST)
+    assert code == 2
+    assert capsys.readouterr().err.strip() == "error: seed must be >= 0, got -1"
+    assert ran == [] and not out.exists()
 
 
 @pytest.mark.parametrize("flags, message", [

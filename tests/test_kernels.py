@@ -4,9 +4,10 @@ import itertools
 import numpy as np
 import pytest
 
+from bjda import autodiff as ad
 from bjda.autodiff import Tape
 from bjda.errors import ConfigError, DimensionError, InputError
-from bjda.kernels import (KernelSpec, closed_form_bures,
+from bjda.kernels import (KernelSpec, _centered, closed_form_bures,
                           exact_wasserstein_sq, gaussian_bandwidth,
                           kbw_sq, kernel_matrix, optimal_assignment,
                           pairwise_sqdist_matrix)
@@ -34,9 +35,35 @@ def test_bandwidth_degenerate_fallback():
     assert gaussian_bandwidth(pts, pts) == 1.0
 
 
+def test_bandwidth_falls_back_for_identical_rows_whose_mean_rounds():
+    # five rows of 0.3 read 1.1e-16 through the distance matrix, and a mean
+    # taken without the shift misses most rows like these
+    assert gaussian_bandwidth(np.full((5, 3), 0.3), np.full((5, 3), 0.3)) == 1.0
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        row = rng.normal(size=(1, int(rng.integers(1, 9))))
+        pts = np.repeat(row, int(rng.integers(2, 130)), axis=0)
+        assert gaussian_bandwidth(pts, pts[:2]) == 1.0
+
+
 def test_bandwidth_rejects_empty():
     with pytest.raises(InputError):
         gaussian_bandwidth(np.zeros((0, 2)), np.zeros((3, 2)))
+
+
+def test_bandwidth_closed_form_matches_the_mean_pairwise_distance():
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        d = int(rng.integers(1, 6))
+        a = rng.normal(size=(int(rng.integers(1, 30)), d)) * rng.uniform(0.1, 5.0)
+        b = rng.normal(size=(int(rng.integers(1, 30)), d)) + rng.uniform(-3.0, 3.0)
+        want = pairwise_sqdist_matrix(a, b).mean()
+        assert gaussian_bandwidth(a, b) == pytest.approx(want, rel=1e-12)
+        pooled = np.vstack([a, b])
+        assert gaussian_bandwidth(pooled, pooled) == \
+            pytest.approx(pairwise_sqdist_matrix(pooled, pooled).mean(), rel=1e-12)
+    with pytest.raises(DimensionError):
+        gaussian_bandwidth(np.ones((2, 2)), np.ones((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +112,26 @@ def test_kernel_matrix_mixed_value_and_array():
     a = tape.leaf(np.ones((2, 2)))
     k = kernel_matrix(a, np.zeros((3, 2)), KernelSpec(bandwidth_sq=1.0))
     assert k.shape == (2, 3)
+
+
+@pytest.mark.parametrize("spec", [KernelSpec(), KernelSpec(bandwidth_sq=1.5),
+                                  KernelSpec("linear")], ids=["auto", "fixed", "linear"])
+def test_kernel_matrix_is_one_node_with_the_composed_gradient(spec):
+    rng = np.random.default_rng(10)
+    a, b, w = rng.normal(size=(5, 3)), rng.normal(size=(4, 3)), rng.normal(size=(5, 4))
+    grads = []
+    for fused in (True, False):
+        tape = Tape()
+        av, bv = tape.leaf(a), tape.leaf(b)
+        if fused:
+            k = kernel_matrix(av, bv, spec)
+            assert len(tape) == 3
+        else:
+            k = gram_reference(av, bv, resolve(spec, gaussian_bandwidth(a, b)))
+        tape.backward((k * tape.constant(w)).sum())
+        grads.append((k.value, av.grad, bv.grad))
+    for got, want in zip(*grads):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +196,91 @@ def test_kbw_gaussian_uses_one_pooled_bandwidth_for_all_three_grams():
     assert kbw_sq(a, b).item() == want  # plain arrays, own tape
     tape = Tape()
     assert kbw_sq(tape.leaf(a, "a"), tape.leaf(b, "b")).item() == want
+
+
+def resolve(spec, bandwidth_sq):
+    return spec if spec.kind == "linear" or spec.bandwidth_sq else KernelSpec(bandwidth_sq=bandwidth_sq)
+
+
+def gram_reference(av, bv, spec):
+    """Kernel matrix composed of tape ops: a matmul, or three Gaussian nodes."""
+    if spec.kind == "linear":
+        return av @ bv.T
+    return ad.scale(ad.pairwise_sqdist(av, bv), -1.0 / spec.bandwidth_sq).exp()
+
+
+def center_reference(x):
+    """The double-centering tape op, H_n x H_m, which is its own adjoint."""
+    def backward(g):
+        ad._accumulate(x, _centered(g), owned=True)
+
+    return x.tape._record(_centered(x.value), backward, x)
+
+
+def kbw_sq_reference(av, bv, spec):
+    """kbw_sq as the composition that preceded the fused ops, kept as an
+    oracle: 21 nodes with a Gaussian kernel (18 with the linear one), three
+    Gram matrices, three centerings, two traces, the nuclear norm, five scalar
+    nodes and a clamp, with the auto bandwidth the mean of the full pooled
+    (n + m)^2 distance matrix."""
+    n, m = av.shape[0], bv.shape[0]
+    pooled = np.vstack([av.value, bv.value])
+    mean = pairwise_sqdist_matrix(pooled, pooled).mean()
+    spec = resolve(spec, mean if mean > 0.0 else 1.0)
+    term_a = ad.scale(center_reference(gram_reference(av, av, spec)).trace(), 1.0 / n)
+    term_b = ad.scale(center_reference(gram_reference(bv, bv, spec)).trace(), 1.0 / m)
+    coupling = ad.nuclear_norm(center_reference(gram_reference(av, bv, spec)))
+    dist_sq = term_a + term_b - ad.scale(coupling, 2.0 / np.sqrt(n * m))
+    return ad.clamp_min(dist_sq, 0.0)
+
+
+def kbw_with_grads(op, a, b, spec):
+    tape = Tape()
+    av, bv = tape.leaf(a), tape.leaf(b)
+    before = len(tape)
+    out = op(av, bv, spec)
+    nodes = len(tape) - before
+    tape.backward(out)
+    return out.item(), av.grad, bv.grad, nodes
+
+
+KBW_SPECS = [KernelSpec(), KernelSpec(bandwidth_sq=2.0), KernelSpec("linear")]
+KBW_IDS = ["gaussian-auto", "gaussian-fixed", "linear"]
+
+
+@pytest.mark.parametrize("spec", KBW_SPECS, ids=KBW_IDS)
+def test_kbw_three_nodes_match_the_composed_reference(spec):
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        n, m, d = (int(v) for v in rng.integers((2, 2, 1), (40, 40, 9)))
+        a = rng.normal(size=(n, d)) * rng.uniform(0.2, 3.0)
+        b = rng.normal(size=(m, d)) * rng.uniform(0.2, 3.0) + rng.uniform(-2.0, 2.0)
+        value, grad_a, grad_b, nodes = kbw_with_grads(kbw_sq, a, b, spec)
+        ref_value, ref_a, ref_b, ref_nodes = kbw_with_grads(kbw_sq_reference, a, b, spec)
+        assert (nodes, ref_nodes) == (3, 18 if spec.kind == "linear" else 21)
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        scale = max(np.abs(ref_a).max(), np.abs(ref_b).max())
+        assert np.abs(grad_a - ref_a).max() <= 1e-10 * scale
+        assert np.abs(grad_b - ref_b).max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("spec", KBW_SPECS, ids=KBW_IDS)
+def test_kbw_clamped_at_zero_passes_no_gradient_like_the_reference(spec):
+    rng = np.random.default_rng(13)
+    clamped = 0
+    for _ in range(40):
+        a = rng.normal(size=(int(rng.integers(2, 12)), int(rng.integers(1, 5))))
+        value, grad_a, grad_b, _ = kbw_with_grads(kbw_sq, a, a.copy(), spec)
+        ref_value, ref_a, ref_b, _ = kbw_with_grads(kbw_sq_reference, a, a.copy(), spec)
+        assert 0.0 <= value <= 1e-12 and 0.0 <= ref_value <= 1e-12
+        # unclamped, what is left is round-off through singular values near
+        # the nuclear norm's rank cutoff, in either construction
+        for grad in (grad_a, grad_b, ref_a, ref_b):
+            assert np.abs(grad).max() <= 1e-6
+        if value == 0.0:
+            clamped += 1
+            assert not grad_a.any() and not grad_b.any()
+    assert clamped > 0
 
 
 def test_kbw_linear_matches_closed_form_bures():

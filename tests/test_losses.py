@@ -1,10 +1,14 @@
 """Hand values and invariants for the loss layer."""
+import collections
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bjda import autodiff as ad
+from bjda import kernels
 from bjda.autodiff import Tape
 from bjda.errors import ConfigError, DimensionError, InputError
 from bjda.kernels import KernelSpec, kbw_sq
@@ -490,7 +494,7 @@ def test_training_records_a_fixed_number_of_tape_nodes(monkeypatch):
 
     monkeypatch.setattr(Tape, "backward", counting_backward)
     source, target = gen_rotated_blobs(SynthSpec(dim=6, per_class=40, shift_angle=40.0))
-    expected = {"full": 90, "no_dmc": 76, "wd": 55, "triplet": 82, "source_only": 30}
+    expected = {"full": 54, "no_dmc": 40, "wd": 55, "triplet": 46, "source_only": 30}
     seen = {}
     for variant in expected:
         for batch in (16, 64):
@@ -500,6 +504,31 @@ def test_training_records_a_fixed_number_of_tape_nodes(monkeypatch):
                 batch_source=batch, batch_target=batch))
             seen[variant, batch] = set(counts)
     assert seen == {(v, b): {n} for v, n in expected.items() for b in (16, 64)}
+
+
+def test_each_kbw_sq_of_a_full_step_calls_the_bandwidth_and_the_svd_once(monkeypatch):
+    # perfbench times kernels.gaussian_bandwidth and autodiff.nuclear_norm by
+    # patching these module attributes; a kbw_sq that stops calling them
+    # through the modules would drop those spans
+    train_module = importlib.import_module("bjda.train")
+    calls = collections.Counter()
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(train_module, "kbw_sq")
+    counted(kernels, "gaussian_bandwidth")
+    counted(ad, "nuclear_norm")
+    source, target = gen_rotated_blobs(SynthSpec(dim=6, per_class=40, shift_angle=40.0))
+    train(source, target, TrainConfig(hidden_dim=16, feat_dim=8, t_max=3, eval_every=3))
+    # two kbw_sq per step: features and labels
+    assert calls == {"kbw_sq": 6, "gaussian_bandwidth": 6, "nuclear_norm": 6}
 
 
 def test_trip_rejects_negative_margin_and_bad_shapes():
