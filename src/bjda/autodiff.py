@@ -26,9 +26,18 @@ Values and grads stay readable. A second backward raises InputError.
 Inference needs no tape at all: model.forward_probs repeats the tape ops'
 forward arithmetic on plain arrays (it shares softmax_rows_array with
 softmax_rows), so it gives the same bits.
+
+A tape may carry a Helper, one worker thread beside the caller's. both()
+runs two independent whole computations at once on it, the second on the
+worker, when their work reaches the helper's floor; matmul_pair uses it for
+two products of one weight, and matmul's adjoint for dA and dB. Each result
+is the product the caller would have computed alone, and adjoints still
+accumulate in tape order, so a tape with a helper gives the same bits as one
+without.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -38,6 +47,13 @@ from .errors import ConfigError, DimensionError, DomainError, InputError, Numeri
 # Singular values at or below EPS_RANK * sigma_max are treated as zero when
 # forming the nuclear-norm subgradient U_r V_r^T.
 EPS_RANK = 1e-8
+
+# Work, in multiply-adds, below which both() keeps a job on the calling
+# thread. On 2 vCPUs with 1 BLAS thread one submit-and-wait round trip to the
+# helper took 18 us, a 64x128x64 product 15 us, 64x128x1024 206 us and
+# 64x1024x512 902 us. 2^22 keeps the helper away from every product at the
+# 128/64 widths and gives it those of the default 1024/512.
+HELPER_FLOOR = 1 << 22
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -119,12 +135,46 @@ class Value:
         return f"Value(shape={self.shape})"
 
 
-class Tape:
-    """Append-only record of Values; owns backward traversal."""
+class Helper:
+    """One worker thread for both(), used as a with block: the thread starts
+    with the first job and is joined when the block ends. It sleeps on its
+    queue while it has no job, so it never spins. floor defaults to
+    HELPER_FLOOR."""
 
-    def __init__(self):
+    def __init__(self, floor: int | None = None):
+        self.floor = HELPER_FLOOR if floor is None else floor
+        self._pool = ThreadPoolExecutor(max_workers=1)
+
+    def __enter__(self) -> "Helper":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._pool.shutdown(wait=True)
+
+
+def both(helper: Helper | None, work: int, first: Callable, second: Callable) -> tuple:
+    """(first(), second()). With a helper and work at its floor or above,
+    second runs on the helper while the calling thread runs first; otherwise
+    the caller runs first, then second. The helper's job has ended when this
+    returns or raises."""
+    if helper is None or work < helper.floor:
+        return first(), second()
+    pending = helper._pool.submit(second)
+    try:
+        done = first()
+    finally:
+        pending.exception()  # waits; should first raise, its error is the one raised
+    return done, pending.result()
+
+
+class Tape:
+    """Append-only record of Values; owns backward traversal. helper, when
+    given, lets matmul_pair and matmul's adjoint run two products at once."""
+
+    def __init__(self, helper: Helper | None = None):
         self._nodes: list[Value] = []
         self._consumed = False
+        self.helper = helper
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -204,19 +254,42 @@ def _accumulate(node: Value, delta: np.ndarray, owned: bool = False) -> None:
 # operations: each records its value and backward(g) with tape._record
 
 
-def matmul(a: Value, b: Value) -> Value:
-    """Matrix product. Adjoints: dA = g B^T, dB = A^T g."""
-    tape = _join(a, b)
+def _madds(a: Value, b: Value) -> int:
+    """The multiply-adds of a @ b, once the operands pass matmul's checks."""
+    _join(a, b)
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
+    return a.shape[0] * a.shape[1] * b.shape[1]
 
+
+def _record_matmul(a: Value, b: Value, work: int, value: np.ndarray) -> Value:
     def backward(g):
-        if not a.constant:
-            _accumulate(a, g @ b.value.T, owned=True)
-        if not b.constant:
+        if a.constant:
             _accumulate(b, a.value.T @ g, owned=True)
+        elif b.constant:
+            _accumulate(a, g @ b.value.T, owned=True)
+        else:
+            da, db = both(a.tape.helper, work, lambda: g @ b.value.T, lambda: a.value.T @ g)
+            _accumulate(a, da, owned=True)
+            _accumulate(b, db, owned=True)
 
-    return tape._record(a.value @ b.value, backward, a, b)
+    return a.tape._record(value, backward, a, b)
+
+
+def matmul(a: Value, b: Value) -> Value:
+    """Matrix product. Adjoints: dA = g B^T, dB = A^T g; when both are
+    wanted, the tape's helper computes dB while the caller computes dA."""
+    work = _madds(a, b)
+    return _record_matmul(a, b, work, a.value @ b.value)
+
+
+def matmul_pair(a: Value, c: Value, b: Value) -> tuple[Value, Value]:
+    """matmul(a, b) and matmul(c, b), recorded in that order; the tape's
+    helper computes c @ b while the caller computes a @ b."""
+    work_a, work_c = _madds(a, b), _madds(c, b)
+    ab, cb = both(b.tape.helper, min(work_a, work_c),
+                  lambda: a.value @ b.value, lambda: c.value @ b.value)
+    return _record_matmul(a, b, work_a, ab), _record_matmul(c, b, work_c, cb)
 
 
 def _require_same_shape(op: str, a: Value, b: Value) -> None:

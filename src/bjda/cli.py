@@ -244,6 +244,7 @@ def cmd_train(args) -> int:
         "label_term_skips": metrics.label_term_skips,
         "dmc_target_skips": metrics.dmc_target_skips,
         "trip_degenerate": metrics.trip_degenerate,
+        "train_threads": metrics.train_threads,
         "config": dict(line.split(" = ", 1) for line in emit_config(cfg).splitlines()),
         "wall_clock_seconds": wall,
         "load_seconds": load,

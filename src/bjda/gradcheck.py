@@ -6,7 +6,9 @@ same forward construction. The central-difference oracle is independent of
 the tape's adjoint rules: it only calls the scalar forward, perturbing one
 input entry at a time. Non-scalar op outputs are contracted against a fixed
 random weight matrix so the incoming adjoint is non-uniform. The end-to-end
-case runs the trainer's own objective.
+case runs the trainer's own objective, with the paired forward_g of a
+training step; end_to_end_helper runs it again on a tape whose helper takes
+every pair of products (floor 0), so the concurrent adjoints are audited too.
 
 Gaussian bandwidths are pinned inside the cases: the training losses treat
 the bandwidth (like the margin entropies, prototypes, and pseudo-labels) as
@@ -21,7 +23,8 @@ gap, and activation pre-image clears its kink by a safe margin.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import contextlib
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,6 +79,7 @@ class CheckCase:
     inputs: list[np.ndarray]
     build: Callable[[Tape, Sequence[Value]], Value]
     tol: float
+    helper: bool = False   # the analytic pass runs on a tape with an autodiff.Helper at floor 0
 
 
 @dataclass
@@ -90,10 +94,11 @@ class CheckResult:
 
 
 def run_case(case: CheckCase) -> CheckResult:
-    tape = Tape()
-    leaves = [tape.leaf(x, f"in{i}") for i, x in enumerate(case.inputs)]
-    out = case.build(tape, leaves)
-    tape.backward(out)
+    with (ad.Helper(floor=0) if case.helper else contextlib.nullcontext()) as helper:
+        tape = Tape(helper)
+        leaves = [tape.leaf(x, f"in{i}") for i, x in enumerate(case.inputs)]
+        out = case.build(tape, leaves)
+        tape.backward(out)
     analytic = [leaf.grad.copy() for leaf in leaves]
 
     worst = 0.0
@@ -315,8 +320,7 @@ def _end_to_end_case(rng: np.random.Generator) -> CheckCase:
     ys = np.array([0, 0, 1, 1, 2, 2])
 
     def forward(tape, leaves, xs, xt):
-        g_s = forward_g(leaves, tape.constant(xs, "xs"))
-        g_t = forward_g(leaves, tape.constant(xt, "xt"))
+        g_s, g_t = forward_g(leaves, tape.constant(xs, "xs"), tape.constant(xt, "xt"))
         return g_s, g_t, forward_f(leaves, g_s), forward_f(leaves, g_t)
 
     for attempt in range(500):
@@ -357,7 +361,8 @@ def build_cases(seed: int = 0) -> list[CheckCase]:
     cases.append(_l_da_case(rng))
     cases.append(_l_dmc_case(rng))
     cases.append(_l_trip_case(rng))
-    cases.append(_end_to_end_case(rng))
+    end_to_end = _end_to_end_case(rng)
+    cases += [end_to_end, replace(end_to_end, name="end_to_end_helper", helper=True)]
     # drawn last, so no earlier case's instance depends on them
     cases.append(CheckCase("take_entries", [rng.standard_normal((4, 5))],
                            _weighted(lambda t, l: ad.take(l[0], [0, 3, 3, 1, 0], [2, 4, 4, 0, 1]),

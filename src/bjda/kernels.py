@@ -65,9 +65,13 @@ def gaussian_bandwidth(a: np.ndarray, b: np.ndarray) -> float:
 
     Returned as a plain scalar: the bandwidth is held fixed (not
     differentiated through) wherever the kernel itself is differentiated.
+    When b is a, as kbw_sq's pooled rows are, the rows are read and their
+    spread taken once: the gap is exactly 0, so the mean is the spread
+    doubled, the same bits the two-sided sum gives.
     """
+    same = b is a
     a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
+    b = a if same else as_matrix(b, "b")
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise InputError("gaussian_bandwidth: need at least one row on each side")
     if a.shape[1] != b.shape[1]:
@@ -75,14 +79,17 @@ def gaussian_bandwidth(a: np.ndarray, b: np.ndarray) -> float:
     # measured from one row, so that identical rows give exactly 0 and the fallback
     shift = a[0].copy()
     a -= shift
-    b -= shift
     mu_a = a.mean(axis=0)
-    mu_b = b.mean(axis=0)
     dev_a = a - mu_a
-    dev_b = b - mu_b
-    gap = mu_a - mu_b
-    mean = float(np.vdot(dev_a, dev_a) / a.shape[0] + np.vdot(dev_b, dev_b) / b.shape[0]
-                 + np.vdot(gap, gap))
+    spread_a = np.vdot(dev_a, dev_a) / a.shape[0]
+    if same:
+        mean = float(spread_a + spread_a)
+    else:
+        b -= shift
+        mu_b = b.mean(axis=0)
+        dev_b = b - mu_b
+        gap = mu_a - mu_b
+        mean = float(spread_a + np.vdot(dev_b, dev_b) / b.shape[0] + np.vdot(gap, gap))
     return mean if mean > 0.0 else 1.0
 
 

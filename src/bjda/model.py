@@ -104,10 +104,20 @@ def make_leaves(tape: Tape, params: ModelParams) -> dict[str, Value]:
     return {name: tape.leaf(params.tensors[name], name, copy=False) for name in PARAM_NAMES}
 
 
-def forward_g(leaves: dict[str, Value], x: Value) -> Value:
-    """Feature extractor: leaky_relu(x W1 + b1) W2 + b2 (linear output)."""
-    h = ad.leaky_relu(ad.add_rowvec(x @ leaves["w1"], leaves["b1"]), LEAKY_SLOPE)
-    return ad.add_rowvec(h @ leaves["w2"], leaves["b2"])
+def forward_g(leaves: dict[str, Value], x_s: Value, x_t: Value) -> tuple[Value, Value]:
+    """Feature extractor leaky_relu(x W1 + b1) W2 + b2 (linear output) on a
+    source and a target batch.
+
+    Each layer records the source's node, then the target's, and the
+    weight's two products go through autodiff.matmul_pair, so a tape with a
+    helper computes them at once. In the reverse pass every parameter still
+    takes the target's adjoint before the source's, as when the two
+    batches' passes are recorded one after the other.
+    """
+    z_s, z_t = ad.matmul_pair(x_s, x_t, leaves["w1"])
+    h_s, h_t = (ad.leaky_relu(ad.add_rowvec(z, leaves["b1"]), LEAKY_SLOPE) for z in (z_s, z_t))
+    z_s, z_t = ad.matmul_pair(h_s, h_t, leaves["w2"])
+    return ad.add_rowvec(z_s, leaves["b2"]), ad.add_rowvec(z_t, leaves["b2"])
 
 
 def forward_f(leaves: dict[str, Value], g: Value) -> Value:
@@ -131,7 +141,7 @@ def predict_probs(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 def forward_probs(tensors: dict[str, np.ndarray], x: np.ndarray,
                   h: np.ndarray | None = None, g: np.ndarray | None = None) -> np.ndarray:
-    """forward_f(forward_g(x)) on plain, unchecked arrays.
+    """forward_f of forward_g's features for x, on plain, unchecked arrays.
 
     Runs the arithmetic of forward_g and forward_f op for op, so the result
     equals the tape's forward bit for bit: the leaky slope applied in place

@@ -7,12 +7,23 @@ refresh class prototypes from the source batch, predict target
 pseudo-labels, assemble the variant's objective, backprop, and take one SGD
 step. All randomness comes from generators derived from cfg.seed, so a
 (config, data, seed) triple reproduces its metrics byte for byte.
+
+A train() call on the main thread, with two usable CPUs and a layer product
+at autodiff.HELPER_FLOOR or above, opens one autodiff.Helper for its length
+and joins it before it returns or raises. Its tapes carry it, so the two
+batches' forward products and a weight's two adjoints run at once; the SGD
+step hands it the first half of a large tensor's rows; evaluate hands it
+every other chunk. Each of those computes what one thread computes, so the
+bytes do not depend on whether the helper was opened. run_suite's workers
+run off the main thread and open none.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, field, fields, replace
 from concurrent.futures import ThreadPoolExecutor
 
@@ -134,6 +145,7 @@ class RunMetrics:
     label_term_skips: int = 0     # iterations whose label-alignment term was skipped
     dmc_target_skips: int = 0     # iterations whose margin loss lost its target rows
     trip_degenerate: int = 0      # single-class batches seen by the triplet loss
+    train_threads: int = 1        # threads each step ran on: 2 with a helper
 
     def to_jsonl(self) -> str:
         lines = []
@@ -179,21 +191,44 @@ class EpochSampler:
         return out
 
 
+# One entry of an SGD step costs about as much as 100 multiply-adds of a
+# product: on 2 vCPUs with 1 BLAS thread a 1024x512 tensor's step took
+# 1.49 ms, 2.8 ns an entry, and a 64x1024x512 product 0.027 ns a
+# multiply-add. So a tensor's step weighs 100 * size against the helper's
+# floor: the default widths' w1 and w2 are split, their head and biases not.
+SGD_ENTRY_MADDS = 100
+
+
 def sgd_update(theta: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
                lr: float, momentum: float, weight_decay: float,
-               scratch: np.ndarray | None = None) -> None:
+               scratch: np.ndarray | None = None,
+               helper: ad.Helper | None = None) -> None:
     """In place: v <- momentum v + grad + weight_decay theta; theta <- theta - lr v.
 
     scratch, an array of theta's shape, holds the two products in turn, so a
-    caller that passes one allocates nothing here. The operations and their
-    order are the formula's either way, and so are the bits.
+    caller that passes one allocates nothing here. With a helper and a
+    tensor of two or more rows whose step reaches its floor, the helper
+    updates the first half of the rows while the caller updates the rest;
+    both halves are done when this returns. The operations and their order
+    are the formula's for every entry either way, and so are the bits.
     """
     if scratch is None:
         scratch = np.empty_like(theta)
-    velocity *= momentum
-    velocity += grad
-    velocity += np.multiply(theta, weight_decay, out=scratch)
-    theta -= np.multiply(velocity, lr, out=scratch)
+
+    def update(t, g, v, s) -> None:
+        v *= momentum
+        v += g
+        v += np.multiply(t, weight_decay, out=s)
+        t -= np.multiply(v, lr, out=s)
+
+    arrays = (theta, grad, velocity, scratch)
+    half = theta.shape[0] // 2
+    work = theta.size * SGD_ENTRY_MADDS
+    if helper is None or half == 0 or work < helper.floor:
+        update(*arrays)
+    else:
+        ad.both(helper, work, lambda: update(*(x[half:] for x in arrays)),
+                lambda: update(*(x[:half] for x in arrays)))
 
 
 def _check_pair(source: Dataset, target: Dataset) -> None:
@@ -329,20 +364,19 @@ def objective(cfg: TrainConfig, g_s: Value, g_t: Value, probs_s: Value, probs_t:
 
 
 def _step(cfg: TrainConfig, params: ModelParams, scratch: dict[str, np.ndarray],
-          protos: Prototypes, metrics: RunMetrics, it: int,
+          protos: Prototypes, metrics: RunMetrics, helper: ad.Helper | None, it: int,
           xs: np.ndarray, ys: np.ndarray,
           xt: np.ndarray) -> tuple[LossBreakdown, float | None, dict[str, Value]]:
-    """One iteration: forward, objective, backward and SGD step. Returns the
-    loss breakdown, the pl acceptance share and the parameter leaves, whose
-    grads the backward made last. Everything else on the tape dies with the
-    call."""
-    tape = Tape()
+    """One iteration: forward, objective, backward and SGD step, with the
+    run's helper, if any. Returns the loss breakdown, the pl acceptance share
+    and the parameter leaves, whose grads the backward made last. Everything
+    else on the tape dies with the call."""
+    tape = Tape(helper)
     try:
         leaves = make_leaves(tape, params)
     except NumericalError as err:  # the previous step's update made it
         raise NumericalError(f"{err}, at iteration {it}; the run diverged") from err
-    g_s = forward_g(leaves, tape.constant(xs, "x_s"))
-    g_t = forward_g(leaves, tape.constant(xt, "x_t"))
+    g_s, g_t = forward_g(leaves, tape.constant(xs, "x_s"), tape.constant(xt, "x_t"))
     # squared norms must stay clear of the float64 overflow line (~1e308)
     peak = max(np.abs(g_s.value).max(initial=0.0), np.abs(g_t.value).max(initial=0.0))
     if not math.isfinite(peak) or peak > 1e100:
@@ -359,7 +393,7 @@ def _step(cfg: TrainConfig, params: ModelParams, scratch: dict[str, np.ndarray],
     tape.backward(loss)
     for name in leaves:
         sgd_update(params.tensors[name], leaves[name].grad, params.velocities[name],
-                   cfg.lr, cfg.momentum, cfg.weight_decay, scratch[name])
+                   cfg.lr, cfg.momentum, cfg.weight_decay, scratch[name], helper)
     return breakdown, pl_accept, leaves
 
 
@@ -397,21 +431,39 @@ def train(source: Dataset, target: Dataset,
     # ~400 page faults per iteration at 128/64 in some runs and almost none in
     # others, as the heap's layout falls.
     held = None
-    for it in range(1, cfg.t_max + 1):
-        idx_s = sampler_s.next()
-        idx_t = sampler_t.next()
-        breakdown, pl_accept, held = _step(cfg, params, scratch, protos, metrics, it,
-                                           source.features[idx_s], source.labels[idx_s],
-                                           target.features[idx_t])
+    with _open_helper(dims, max(drawn)) as helper:
+        metrics.train_threads = 1 if helper is None else 2
+        for it in range(1, cfg.t_max + 1):
+            idx_s = sampler_s.next()
+            idx_t = sampler_t.next()
+            breakdown, pl_accept, held = _step(cfg, params, scratch, protos, metrics, helper,
+                                               it, source.features[idx_s],
+                                               source.labels[idx_s], target.features[idx_t])
 
-        target_acc = None
-        if has_target_labels and (it % cfg.eval_every == 0 or it == cfg.t_max):
-            held = None  # evaluate's buffers take the grads' place
-            target_acc = evaluate(params, target).accuracy
+            target_acc = None
+            if has_target_labels and (it % cfg.eval_every == 0 or it == cfg.t_max):
+                held = None  # evaluate's buffers take the grads' place
+                target_acc = evaluate(params, target, helper=helper).accuracy
 
-        metrics.records.append(IterationRecord(it, breakdown, target_acc, pl_accept))
+            metrics.records.append(IterationRecord(it, breakdown, target_acc, pl_accept))
 
     return params, metrics
+
+
+def _open_helper(dims: ModelDims, batch: int) -> contextlib.AbstractContextManager:
+    """An autodiff.Helper for one train() call, or a context that gives None.
+
+    A helper needs two usable CPUs and the largest layer product at its
+    floor. It opens on the main thread only: run_suite's --jobs workers
+    already fill the CPUs, and cli._load_pair forks only while the process
+    runs one thread, which holds again once the helper is joined.
+    """
+    largest = batch * max(dims.input_dim * dims.hidden, dims.hidden * dims.feat,
+                          dims.feat * dims.classes)
+    if (_usable_cpus() >= 2 and threading.current_thread() is threading.main_thread()
+            and largest >= ad.HELPER_FLOOR):
+        return ad.Helper()
+    return contextlib.nullcontext()
 
 
 def _no_labels(data: Dataset) -> InputError:
@@ -426,13 +478,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def evaluate(params: ModelParams, data: Dataset, chunk: int = 1024) -> EvalResult:
+def evaluate(params: ModelParams, data: Dataset, chunk: int = 1024,
+             helper: ad.Helper | None = None) -> EvalResult:
     """Accuracy over the labeled rows; unlabeled rows are excluded and counted.
 
     Rows are predicted chunk by chunk with model.forward_probs, the pass of
     predict_probs, so a reloaded checkpoint predicts the same labels. The
     chunks run on min(chunks, usable CPUs) workers: the calling thread plus a pool, since
-    numpy releases the GIL inside BLAS. Each worker reuses one pair of
+    numpy releases the GIL inside BLAS. With two workers and a helper, the
+    helper is the pool. Each worker reuses one pair of
     hidden/feature buffers. A chunk's arithmetic does not depend on the
     worker that runs it, so neither do the predictions. A non-finite
     parameter raises NumericalError naming it.
@@ -458,6 +512,10 @@ def evaluate(params: ModelParams, data: Dataset, chunk: int = 1024) -> EvalResul
 
     if workers == 1:
         predict(0)
+    elif workers == 2 and helper is not None:
+        d = params.dims
+        work = chunk * (d.input_dim * d.hidden + d.hidden * d.feat + d.feat * d.classes)
+        ad.both(helper, work, lambda: predict(0), lambda: predict(1))
     else:
         with ThreadPoolExecutor(max_workers=workers - 1) as pool:
             others = [pool.submit(predict, first) for first in range(1, workers)]

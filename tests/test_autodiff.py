@@ -109,11 +109,12 @@ def test_a_model_tape_is_freed_without_the_cyclic_collector():
     try:
         tape = Tape()
         leaves = make_leaves(tape, params)
-        loss = l_cls(forward_f(leaves, forward_g(leaves, tape.leaf(x, "x"))), y)
+        pair = forward_g(leaves, tape.constant(x, "x_s"), tape.constant(x[:2], "x_t"))
+        loss = l_cls(forward_f(leaves, pair[0]), y)
         tape.backward(loss)
         grad = leaves["w1"].grad
         alive = weakref.ref(tape)
-        del tape, leaves, loss
+        del tape, leaves, pair, loss
         assert alive() is None
     finally:
         gc.enable()

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from bjda import autodiff as ad
 from bjda import cli
 from bjda.cli import emit_config, main, parse_config
 from bjda.data import SynthSpec, gen_rotated_blobs, load_csv, save_csv
@@ -99,9 +100,10 @@ def test_train_writes_all_artifacts(data_dir, tmp_path, capsys, monkeypatch):
 
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary) == {"final_target_accuracy", "proto_skips", "label_term_skips",
-                            "dmc_target_skips", "trip_degenerate", "config",
+                            "dmc_target_skips", "trip_degenerate", "train_threads", "config",
                             "wall_clock_seconds", "load_seconds", "numpy_version",
                             "blas_threads_env"}
+    assert summary["train_threads"] == 1  # 16/8 wide: every product is under the floor
     assert 0.0 <= summary["final_target_accuracy"] <= 1.0
     assert summary["final_target_accuracy"] == json.loads(lines[-1])["target_acc"]
     assert summary["config"]["variant"] == "full"
@@ -111,6 +113,58 @@ def test_train_writes_all_artifacts(data_dir, tmp_path, capsys, monkeypatch):
     assert summary["numpy_version"] == np.__version__
     assert summary["blas_threads_env"] == {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "1",
                                            "MKL_NUM_THREADS": None}
+
+
+@pytest.fixture(scope="module")
+def blobs_dir(tmp_path_factory):
+    """The 40-degree rotated-blobs pair at the synth defaults: 800 rows a file."""
+    root = tmp_path_factory.mktemp("blobs")
+    for dataset, name in zip(gen_rotated_blobs(SynthSpec(shift_angle=40.0)),
+                             ("source.csv", "target.csv")):
+        save_csv(dataset, root / name)
+    return root
+
+
+def _train_on_cpus(cpus, blobs_dir, out, monkeypatch, capsys, keys):
+    monkeypatch.setattr(importlib.import_module("bjda.train"), "_usable_cpus", lambda: cpus)
+    code = main(["train", "--source", str(blobs_dir / "source.csv"),
+                 "--target", str(blobs_dir / "target.csv"), "--out", str(out)]
+                + [arg for key in keys for arg in ("--set", key)])
+    err = capsys.readouterr().err
+    if code != 0:
+        return code, err, None, None
+    files = [(out / name).read_bytes() for name in ("metrics.jsonl", "model.bin")]
+    return code, err, files, json.loads((out / "summary.json").read_text())["train_threads"]
+
+
+@pytest.mark.parametrize("variant", ["full", "wd", "no_da", "no_dmc", "source_only", "triplet"])
+def test_train_writes_the_same_bytes_on_one_thread_and_two(blobs_dir, tmp_path, capsys,
+                                                         monkeypatch, variant):
+    # floor 0: with two CPUs every pair of products, SGD half and evaluate
+    # chunk goes to the helper; triplet at lr 0.01 diverges at iteration 28
+    monkeypatch.setattr(ad, "HELPER_FLOOR", 0)
+    keys = ["hidden_dim=128", "feat_dim=64", "t_max=40", "eval_every=20", f"variant={variant}"]
+    keys += ["lr=0.01"] if variant == "triplet" else []
+    one, two = (_train_on_cpus(cpus, blobs_dir, tmp_path / f"cpus{cpus}", monkeypatch, capsys,
+                               keys) for cpus in (1, 2))
+    assert one[:3] == two[:3]
+    if variant == "triplet":
+        assert one[0] == 4 and "at iteration 28; the run diverged" in one[1]
+    else:
+        assert one[0] == 0 and (one[3], two[3]) == (1, 2)
+
+
+def test_the_pair_load_forks_again_after_an_in_process_train(blobs_dir, tmp_path, capsys,
+                                                             monkeypatch):
+    monkeypatch.setattr(ad, "HELPER_FLOOR", 0)
+    monkeypatch.setattr(cli, "PAIR_FORK_FLOOR", 0)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    paths = (blobs_dir / "source.csv", blobs_dir / "target.csv")
+    assert cli._fork_pays(paths)
+    code, _, _, threads = _train_on_cpus(2, blobs_dir, tmp_path / "run", monkeypatch, capsys,
+                                         ["hidden_dim=16", "feat_dim=8", "t_max=3"])
+    assert (code, threads) == (0, 2)
+    assert cli._fork_pays(paths)
 
 
 def test_reloaded_checkpoint_scores_the_summary_accuracy(data_dir, tmp_path, capsys):
@@ -433,8 +487,9 @@ def test_distance_ot_unequal_sizes_exits_2(tmp_path, capsys):
 def test_gradcheck_passes_and_lists_every_case(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
-    assert "all 28 gradient checks passed" in out
-    for name in ("nuclear_norm", "triplet_hinge", "l_dmc", "end_to_end"):
+    assert "all 29 gradient checks passed" in out
+    for name in ("nuclear_norm", "triplet_hinge", "l_dmc", "end_to_end",
+                 "end_to_end_helper"):
         assert re.search(rf"^{name}\s+max rel err", out, re.M)
 
 

@@ -46,6 +46,21 @@ def test_bandwidth_falls_back_for_identical_rows_whose_mean_rounds():
         assert gaussian_bandwidth(pts, pts[:2]) == 1.0
 
 
+def test_bandwidth_of_one_array_equals_that_of_its_copy():
+    # gaussian_bandwidth(p, p) reads p once; the two-sided formula on a copy
+    # must give the same bits, the identical-row fallback included
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        rows, cols = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+        pts = rng.normal(size=(rows, cols)) * rng.uniform(0.01, 50.0) + rng.uniform(-5.0, 5.0)
+        if rng.random() < 0.25:
+            pts[:] = pts[0]
+        got = gaussian_bandwidth(pts, pts)
+        assert got.hex() == gaussian_bandwidth(pts, pts.copy()).hex()
+        if rows == 1 or np.all(pts == pts[0]):
+            assert got == 1.0
+
+
 def test_bandwidth_rejects_empty():
     with pytest.raises(InputError):
         gaussian_bandwidth(np.zeros((0, 2)), np.zeros((3, 2)))

@@ -92,29 +92,31 @@ def test_forward_g_zero_weights_give_zero_features():
     params = ModelParams(DIMS, {n: np.zeros(shapes[n]) for n in PARAM_NAMES})
     tape = Tape()
     leaves = make_leaves(tape, params)
-    out = forward_g(leaves, tape.leaf(np.ones((4, 3)), "x"))
-    assert np.array_equal(out.value, np.zeros((4, 5)))
+    outs = forward_g(leaves, tape.leaf(np.ones((4, 3)), "x_s"), tape.leaf(np.ones((2, 3)), "x_t"))
+    assert [out.value.tolist() for out in outs] == [np.zeros((4, 5)).tolist(),
+                                                     np.zeros((2, 5)).tolist()]
 
 
 def test_forward_g_empty_batch_keeps_feature_width():
     params = init_xavier(DIMS, 0)
     tape = Tape()
     leaves = make_leaves(tape, params)
-    out = forward_g(leaves, tape.leaf(np.zeros((0, 3)), "x"))
-    assert out.shape == (0, 5)
+    outs = forward_g(leaves, tape.leaf(np.zeros((0, 3)), "x_s"), tape.leaf(np.zeros((0, 3)), "x_t"))
+    assert [out.shape for out in outs] == [(0, 5), (0, 5)]
 
 
 def test_forward_g_matches_direct_numpy():
     params = init_xavier(DIMS, 5)
-    x = np.random.default_rng(5).normal(size=(6, 3))
+    xs = np.random.default_rng(5).normal(size=(6, 3))
+    xt = np.random.default_rng(6).normal(size=(4, 3))
     tape = Tape()
     leaves = make_leaves(tape, params)
-    got = forward_g(leaves, tape.leaf(x, "x")).value
+    got = forward_g(leaves, tape.leaf(xs, "x_s"), tape.leaf(xt, "x_t"))
     t = params.tensors
-    z = x @ t["w1"] + t["b1"]
-    h = np.where(z > 0, z, LEAKY_SLOPE * z)
-    want = h @ t["w2"] + t["b2"]
-    assert np.array_equal(got, want)
+    for out, x in zip(got, (xs, xt)):
+        z = x @ t["w1"] + t["b1"]
+        h = np.where(z > 0, z, LEAKY_SLOPE * z)
+        assert np.array_equal(out.value, h @ t["w2"] + t["b2"])
 
 
 def test_forward_f_rows_are_probabilities():
@@ -122,7 +124,7 @@ def test_forward_f_rows_are_probabilities():
     x = np.random.default_rng(7).normal(size=(9, 3)) * 5
     tape = Tape()
     leaves = make_leaves(tape, params)
-    probs = forward_f(leaves, forward_g(leaves, tape.leaf(x, "x"))).value
+    probs = forward_f(leaves, forward_g(leaves, tape.leaf(x, "x_s"), tape.leaf(x, "x_t"))[0]).value
     assert probs.min() > 0.0
     assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9
 
@@ -150,7 +152,9 @@ def test_predict_probs_matches_tape_forward():
         x = np.random.default_rng(11).normal(size=(rows, dims.input_dim))
         tape = Tape()
         leaves = make_leaves(tape, params)
-        on_tape = forward_f(leaves, forward_g(leaves, tape.leaf(x, "x"))).value
+        g_s, g_t = forward_g(leaves, tape.leaf(x, "x_s"), tape.leaf(x[::-1], "x_t"))
+        assert np.array_equal(predict_probs(params, x[::-1]), forward_f(leaves, g_t).value)
+        on_tape = forward_f(leaves, g_s).value
         assert np.array_equal(predict_probs(params, x), on_tape)
 
 

@@ -5,12 +5,14 @@ import json
 import math
 import sys
 import threading
+import time
 import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from bjda import autodiff as ad
 from bjda.autodiff import Tape
 from bjda.data import Dataset, SynthSpec, gen_rotated_blobs
 from bjda.errors import ConfigError, InputError, NumericalError
@@ -293,8 +295,8 @@ def test_pl_label_term_is_l_da_on_exactly_the_kept_rows():
                                    source.class_count), cfg.seed)
     tape = Tape()
     leaves = make_leaves(tape, params)
-    g_s = forward_g(leaves, tape.leaf(source.features[idx_s], "x_s"))
-    g_t = forward_g(leaves, tape.leaf(target.features[idx_t], "x_t"))
+    g_s, g_t = forward_g(leaves, tape.leaf(source.features[idx_s], "x_s"),
+                         tape.leaf(target.features[idx_t], "x_t"))
     probs_t = forward_f(leaves, g_t).value
     # a threshold halfway between two confidences keeps the top half
     conf = hard_pseudo_labels(probs_t)[1]
@@ -318,6 +320,48 @@ def test_divergent_run_aborts_with_iteration_index():
     source, target = small_pair()
     with pytest.raises(NumericalError, match="iteration"):
         train(source, target, replace(BASE, lr=1e20, t_max=10))
+
+
+def test_no_thread_outlives_train(monkeypatch):
+    # floor 0 and two CPUs: every train() call opens a helper thread and
+    # gives it every pair of products, SGD half and evaluate chunk
+    from dataclasses import replace
+    train_module = importlib.import_module("bjda.train")
+    monkeypatch.setattr(ad, "HELPER_FLOOR", 0)
+    monkeypatch.setattr(train_module, "_usable_cpus", lambda: 2)
+    source, target = small_pair()
+    before = threading.active_count()
+    _, metrics = train(source, target, BASE)
+    assert metrics.train_threads == 2
+    assert threading.active_count() == before
+    with pytest.raises(NumericalError, match="diverged"):
+        train(source, target, replace(BASE, variant="triplet", lr=0.1, t_max=200))
+    assert threading.active_count() == before
+
+
+def test_no_helper_off_the_main_thread_or_on_one_cpu(monkeypatch):
+    train_module = importlib.import_module("bjda.train")
+    monkeypatch.setattr(ad, "HELPER_FLOOR", 0)
+    source, target = small_pair()
+    monkeypatch.setattr(train_module, "_usable_cpus", lambda: 1)
+    assert train(source, target, BASE)[1].train_threads == 1
+    monkeypatch.setattr(train_module, "_usable_cpus", lambda: 2)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(train, source, target, BASE).result()[1].train_threads == 1
+
+
+def test_sgd_update_returns_with_the_helpers_half_done():
+    # the helper's half of the rows queues behind a job that holds the
+    # helper for 0.1 s; sgd_update must still return with every row updated,
+    # since the next tensor's update reuses the scratch rows the helper writes
+    rng = np.random.default_rng(4)
+    theta, grad, velocity = (rng.normal(size=(7, 5)) for _ in range(3))
+    expected_v = velocity * 0.9 + grad + 0.01 * theta
+    expected_theta = theta - 0.1 * expected_v
+    with ad.Helper(floor=0) as helper:
+        helper._pool.submit(time.sleep, 0.1)
+        sgd_update(theta, grad, velocity, 0.1, 0.9, 0.01, np.full((7, 5), np.nan), helper)
+        assert np.array_equal(velocity, expected_v) and np.array_equal(theta, expected_theta)
 
 
 def test_bjda_train_names_the_module_and_train_the_function():
@@ -478,6 +522,39 @@ def test_suite_parallel_matches_serial():
                          variants=("source_only", "no_da"), seeds=(0, 1), jobs=4)
     assert [(c.variant, c.seed, c.accuracy) for c in serial.cells] == \
            [(c.variant, c.seed, c.accuracy) for c in threaded.cells]
+
+
+def test_a_helper_run_beside_another_run_matches_its_one_thread_run(monkeypatch):
+    # three threads on at most two CPUs, switching often: a run on the main
+    # thread with a helper taking every pair of products, SGD half and
+    # evaluate chunk (floor 0), and a second run beside it, which opens no
+    # helper, must write what the first run writes on one thread alone
+    from dataclasses import replace
+    train_module = importlib.import_module("bjda.train")
+    monkeypatch.setattr(ad, "HELPER_FLOOR", 0)
+    source, target = gen_rotated_blobs(SynthSpec(classes=3, dim=6, per_class=400,
+                                                 shift_angle=30.0, noise_sigma=0.25))
+    cfg = TrainConfig(hidden_dim=512, feat_dim=256, t_max=20, batch_source=32,
+                      batch_target=32, eval_every=10)
+
+    def outputs(run):
+        params, metrics = run
+        return metrics.to_jsonl(), b"".join(params.tensors[n].tobytes() for n in PARAM_NAMES)
+
+    monkeypatch.setattr(train_module, "_usable_cpus", lambda: 1)
+    alone = outputs(train(source, target, cfg))
+    monkeypatch.setattr(train_module, "_usable_cpus", lambda: 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            beside = pool.submit(train, source, target, replace(cfg, seed=1))
+            params, metrics = train(source, target, cfg)
+            assert beside.result(timeout=120)[1].train_threads == 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert metrics.train_threads == 2
+    assert outputs((params, metrics)) == alone
 
 
 def test_concurrent_runs_match_serial_runs_bitwise():
