@@ -29,14 +29,15 @@ softmax_rows), so it gives the same bits.
 
 A tape may carry a Helper, one worker thread beside the caller's. both()
 runs two independent whole computations at once on it, the second on the
-worker, when their work reaches the helper's floor; matmul_pair uses it for
-two products of one weight, and matmul's adjoint for dA and dB. Each result
-is the product the caller would have computed alone, and adjoints still
-accumulate in tape order, so a tape with a helper gives the same bits as one
-without.
+worker, when their work reaches the helper's floor; offloads() is that rule,
+in one place. matmul_pair uses it for two products of one weight, and
+matmul's adjoint for dA and dB. Each result is the product the caller would
+have computed alone, and adjoints still accumulate in tape order, so a tape
+with a helper gives the same bits as one without.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
@@ -135,14 +136,23 @@ class Value:
         return f"Value(shape={self.shape})"
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 class Helper:
     """One worker thread for both(), used as a with block: the thread starts
     with the first job and is joined when the block ends. It sleeps on its
     queue while it has no job, so it never spins. floor defaults to
-    HELPER_FLOOR."""
+    HELPER_FLOOR; used turns True with the first job."""
 
     def __init__(self, floor: int | None = None):
         self.floor = HELPER_FLOOR if floor is None else floor
+        self.used = False
         self._pool = ThreadPoolExecutor(max_workers=1)
 
     def __enter__(self) -> "Helper":
@@ -152,13 +162,19 @@ class Helper:
         self._pool.shutdown(wait=True)
 
 
+def offloads(helper: Helper | None, work: int) -> bool:
+    """Whether both() hands a job of this work to helper, one at its floor."""
+    return helper is not None and work >= helper.floor
+
+
 def both(helper: Helper | None, work: int, first: Callable, second: Callable) -> tuple:
-    """(first(), second()). With a helper and work at its floor or above,
-    second runs on the helper while the calling thread runs first; otherwise
-    the caller runs first, then second. The helper's job has ended when this
-    returns or raises."""
-    if helper is None or work < helper.floor:
+    """(first(), second()). When offloads(helper, work), second runs on the
+    helper while the calling thread runs first; otherwise the caller runs
+    first, then second. The helper's job has ended when this returns or
+    raises."""
+    if not offloads(helper, work):
         return first(), second()
+    helper.used = True
     pending = helper._pool.submit(second)
     try:
         done = first()

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from .data import Dataset, SynthSpec, gen_rotated_blobs, load_csv, save_csv
 from .errors import (ConfigError, DimensionError, DomainError, InputError, NumericalError,
                      ParseError, ValidationError)
@@ -33,7 +34,7 @@ from .gradcheck import run_all
 from .kernels import (GAUSSIAN, KERNEL_KINDS, KernelSpec, closed_form_bures,
                       exact_wasserstein_sq, kbw_sq)
 from .model import save_checkpoint
-from .train import VARIANTS, TrainConfig, _usable_cpus, run_suite, train
+from .train import VARIANTS, TrainConfig, run_suite, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -138,7 +139,7 @@ def _fork_pays(paths) -> bool:
         smaller = min(os.path.getsize(p) for p in paths)
     except OSError:  # the serial load reports it
         return False
-    return (hasattr(os, "fork") and _usable_cpus() >= 2 and threading.active_count() == 1
+    return (hasattr(os, "fork") and ad.usable_cpus() >= 2 and threading.active_count() == 1
             and smaller >= PAIR_FORK_FLOOR)
 
 
@@ -223,6 +224,16 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _blas() -> dict:
+    """numpy's BLAS library, {"name", "version"}, each None where numpy
+    cannot say: numpy before 1.25 has no show_config(mode="dicts")."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {key: blas.get(key) for key in ("name", "version")}
+
+
 def cmd_train(args) -> int:
     started = time.monotonic()
     cfg, source, target = _config_and_data(args)
@@ -249,6 +260,7 @@ def cmd_train(args) -> int:
         "wall_clock_seconds": wall,
         "load_seconds": load,
         "numpy_version": np.__version__,
+        "blas": _blas(),
         "blas_threads_env": {var: os.environ.get(var) for var in
                              ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
     }

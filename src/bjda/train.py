@@ -8,13 +8,13 @@ pseudo-labels, assemble the variant's objective, backprop, and take one SGD
 step. All randomness comes from generators derived from cfg.seed, so a
 (config, data, seed) triple reproduces its metrics byte for byte.
 
-A train() call on the main thread, with two usable CPUs and a layer product
-at autodiff.HELPER_FLOOR or above, opens one autodiff.Helper for its length
-and joins it before it returns or raises. Its tapes carry it, so the two
-batches' forward products and a weight's two adjoints run at once; the SGD
-step hands it the first half of a large tensor's rows; evaluate hands it
-every other chunk. Each of those computes what one thread computes, so the
-bytes do not depend on whether the helper was opened. run_suite's workers
+A train() call on the main thread with two usable CPUs opens one
+autodiff.Helper for its length and joins it before it returns or raises.
+Its tapes carry it, so the two batches' forward products and a weight's two
+adjoints can run at once; the SGD step can hand it half a tensor's rows and
+evaluate half its chunks. autodiff.both gives it only work at its floor, so
+narrow runs on small targets stay on one thread. Each job computes what the
+caller would, so the bytes do not depend on the helper. run_suite's workers
 run off the main thread and open none.
 """
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import os
 import threading
 from dataclasses import dataclass, field, fields, replace
 from concurrent.futures import ThreadPoolExecutor
@@ -145,7 +144,7 @@ class RunMetrics:
     label_term_skips: int = 0     # iterations whose label-alignment term was skipped
     dmc_target_skips: int = 0     # iterations whose margin loss lost its target rows
     trip_degenerate: int = 0      # single-class batches seen by the triplet loss
-    train_threads: int = 1        # threads each step ran on: 2 with a helper
+    train_threads: int = 1        # 2 once the run's helper ran a job, else 1
 
     def to_jsonl(self) -> str:
         lines = []
@@ -198,6 +197,9 @@ class EpochSampler:
 # floor: the default widths' w1 and w2 are split, their head and biases not.
 SGD_ENTRY_MADDS = 100
 
+# Rows evaluate predicts per forward_probs call.
+EVAL_CHUNK = 1024
+
 
 def sgd_update(theta: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
                lr: float, momentum: float, weight_decay: float,
@@ -206,8 +208,8 @@ def sgd_update(theta: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
     """In place: v <- momentum v + grad + weight_decay theta; theta <- theta - lr v.
 
     scratch, an array of theta's shape, holds the two products in turn, so a
-    caller that passes one allocates nothing here. With a helper and a
-    tensor of two or more rows whose step reaches its floor, the helper
+    caller that passes one allocates nothing here. For a tensor of two or
+    more rows whose step autodiff.offloads to the helper, the helper
     updates the first half of the rows while the caller updates the rest;
     both halves are done when this returns. The operations and their order
     are the formula's for every entry either way, and so are the bits.
@@ -224,7 +226,7 @@ def sgd_update(theta: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
     arrays = (theta, grad, velocity, scratch)
     half = theta.shape[0] // 2
     work = theta.size * SGD_ENTRY_MADDS
-    if helper is None or half == 0 or work < helper.floor:
+    if half == 0 or not ad.offloads(helper, work):
         update(*arrays)
     else:
         ad.both(helper, work, lambda: update(*(x[half:] for x in arrays)),
@@ -404,8 +406,7 @@ def train(source: Dataset, target: Dataset,
     _check_pair(source, target)
 
     c_count = source.class_count
-    dims = ModelDims(source.dim, cfg.hidden_dim, cfg.feat_dim, c_count)
-    params = init_xavier(dims, cfg.seed)
+    params = init_xavier(ModelDims(source.dim, cfg.hidden_dim, cfg.feat_dim, c_count), cfg.seed)
     rng = np.random.default_rng([cfg.seed, 1])
     sampler_s = EpochSampler(len(source), cfg.batch_source, rng)
     sampler_t = EpochSampler(len(target), cfg.batch_target, rng)
@@ -431,8 +432,7 @@ def train(source: Dataset, target: Dataset,
     # ~400 page faults per iteration at 128/64 in some runs and almost none in
     # others, as the heap's layout falls.
     held = None
-    with _open_helper(dims, max(drawn)) as helper:
-        metrics.train_threads = 1 if helper is None else 2
+    with _open_helper() as helper:
         for it in range(1, cfg.t_max + 1):
             idx_s = sampler_s.next()
             idx_t = sampler_t.next()
@@ -446,22 +446,20 @@ def train(source: Dataset, target: Dataset,
                 target_acc = evaluate(params, target, helper=helper).accuracy
 
             metrics.records.append(IterationRecord(it, breakdown, target_acc, pl_accept))
+        metrics.train_threads = 2 if helper is not None and helper.used else 1
 
     return params, metrics
 
 
-def _open_helper(dims: ModelDims, batch: int) -> contextlib.AbstractContextManager:
+def _open_helper() -> contextlib.AbstractContextManager:
     """An autodiff.Helper for one train() call, or a context that gives None.
 
-    A helper needs two usable CPUs and the largest layer product at its
-    floor. It opens on the main thread only: run_suite's --jobs workers
-    already fill the CPUs, and cli._load_pair forks only while the process
-    runs one thread, which holds again once the helper is joined.
+    It opens on the main thread with two usable CPUs: run_suite's --jobs
+    workers already fill the CPUs, and cli._load_pair forks only while the
+    process runs one thread, as it does until the helper's first job and
+    again once the helper is joined.
     """
-    largest = batch * max(dims.input_dim * dims.hidden, dims.hidden * dims.feat,
-                          dims.feat * dims.classes)
-    if (_usable_cpus() >= 2 and threading.current_thread() is threading.main_thread()
-            and largest >= ad.HELPER_FLOOR):
+    if ad.usable_cpus() >= 2 and threading.current_thread() is threading.main_thread():
         return ad.Helper()
     return contextlib.nullcontext()
 
@@ -470,58 +468,40 @@ def _no_labels(data: Dataset) -> InputError:
     return InputError(f"evaluate: dataset {data.name!r} has no labeled rows")
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def evaluate(params: ModelParams, data: Dataset, chunk: int = 1024,
+def evaluate(params: ModelParams, data: Dataset,
              helper: ad.Helper | None = None) -> EvalResult:
     """Accuracy over the labeled rows; unlabeled rows are excluded and counted.
 
-    Rows are predicted chunk by chunk with model.forward_probs, the pass of
-    predict_probs, so a reloaded checkpoint predicts the same labels. The
-    chunks run on min(chunks, usable CPUs) workers: the calling thread plus a pool, since
-    numpy releases the GIL inside BLAS. With two workers and a helper, the
-    helper is the pool. Each worker reuses one pair of
-    hidden/feature buffers. A chunk's arithmetic does not depend on the
-    worker that runs it, so neither do the predictions. A non-finite
-    parameter raises NumericalError naming it.
+    Rows are predicted EVAL_CHUNK at a time with model.forward_probs, the
+    pass of predict_probs, so a reloaded checkpoint predicts the same
+    labels. autodiff.both runs the second of two strided halves of the
+    chunks on the helper, if it takes that work, while the caller runs the
+    first; each half reuses one pair of hidden/feature buffers. A chunk's
+    arithmetic does not depend on its thread, so neither do the
+    predictions. A non-finite parameter raises NumericalError naming it.
     """
     check_finite(params, "evaluate")
-    if data.dim != params.dims.input_dim:
+    d = params.dims
+    if data.dim != d.input_dim:
         raise DimensionError(f"evaluate: dataset {data.name!r} has {data.dim} columns, "
-                             f"the model takes {params.dims.input_dim}")
+                             f"the model takes {d.input_dim}")
     n = len(data)
-    starts = range(0, n, chunk)
-    workers = max(1, min(len(starts), _usable_cpus()))
+    starts = range(0, n, EVAL_CHUNK)
     preds = np.empty(n, dtype=np.int64)
 
-    def predict(first: int) -> None:
-        rows = min(chunk, n)
-        h = np.empty((rows, params.dims.hidden))
-        g = np.empty((rows, params.dims.feat))
-        for start in starts[first::workers]:
-            x = data.features[start:start + chunk]
+    def predict(half: range) -> None:
+        h = np.empty((min(EVAL_CHUNK, n), d.hidden))
+        g = np.empty((min(EVAL_CHUNK, n), d.feat))
+        for start in half:
+            x = data.features[start:start + EVAL_CHUNK]
             k = x.shape[0]
             probs = forward_probs(params.tensors, x, h[:k], g[:k])
             preds[start:start + k] = hard_pseudo_labels(probs)[0]
 
-    if workers == 1:
-        predict(0)
-    elif workers == 2 and helper is not None:
-        d = params.dims
-        work = chunk * (d.input_dim * d.hidden + d.hidden * d.feat + d.feat * d.classes)
-        ad.both(helper, work, lambda: predict(0), lambda: predict(1))
-    else:
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            others = [pool.submit(predict, first) for first in range(1, workers)]
-            predict(0)
-            for done in others:
-                done.result()
+    second = starts[1::2]
+    rows = sum(min(EVAL_CHUNK, n - start) for start in second)
+    work = rows * (d.input_dim * d.hidden + d.hidden * d.feat + d.feat * d.classes)
+    ad.both(helper, work, lambda: predict(starts[0::2]), lambda: predict(second))
 
     labeled = data.labels >= 0
     n_unlabeled = int((~labeled).sum())

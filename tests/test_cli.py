@@ -101,7 +101,7 @@ def test_train_writes_all_artifacts(data_dir, tmp_path, capsys, monkeypatch):
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary) == {"final_target_accuracy", "proto_skips", "label_term_skips",
                             "dmc_target_skips", "trip_degenerate", "train_threads", "config",
-                            "wall_clock_seconds", "load_seconds", "numpy_version",
+                            "wall_clock_seconds", "load_seconds", "numpy_version", "blas",
                             "blas_threads_env"}
     assert summary["train_threads"] == 1  # 16/8 wide: every product is under the floor
     assert 0.0 <= summary["final_target_accuracy"] <= 1.0
@@ -111,8 +111,21 @@ def test_train_writes_all_artifacts(data_dir, tmp_path, capsys, monkeypatch):
     assert summary["wall_clock_seconds"] > 0.0
     assert summary["load_seconds"] > 0.0
     assert summary["numpy_version"] == np.__version__
+    assert summary["blas"] == cli._blas()
     assert summary["blas_threads_env"] == {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "1",
                                            "MKL_NUM_THREADS": None}
+
+
+def test_summary_blas_is_numpys_library_or_null(monkeypatch):
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert cli._blas() == {"name": blas["name"], "version": blas["version"]}
+    assert all(isinstance(v, str) and v for v in cli._blas().values())
+
+    def show_config():  # numpy 1.24's signature: no mode, prints only
+        return None
+
+    monkeypatch.setattr(np, "show_config", show_config)
+    assert cli._blas() == {"name": None, "version": None}
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +139,7 @@ def blobs_dir(tmp_path_factory):
 
 
 def _train_on_cpus(cpus, blobs_dir, out, monkeypatch, capsys, keys):
-    monkeypatch.setattr(importlib.import_module("bjda.train"), "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(ad, "usable_cpus", lambda: cpus)
     code = main(["train", "--source", str(blobs_dir / "source.csv"),
                  "--target", str(blobs_dir / "target.csv"), "--out", str(out)]
                 + [arg for key in keys for arg in ("--set", key)])
@@ -158,7 +171,7 @@ def test_the_pair_load_forks_again_after_an_in_process_train(blobs_dir, tmp_path
                                                              monkeypatch):
     monkeypatch.setattr(ad, "HELPER_FLOOR", 0)
     monkeypatch.setattr(cli, "PAIR_FORK_FLOOR", 0)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 2)
     paths = (blobs_dir / "source.csv", blobs_dir / "target.csv")
     assert cli._fork_pays(paths)
     code, _, _, threads = _train_on_cpus(2, blobs_dir, tmp_path / "run", monkeypatch, capsys,
@@ -305,7 +318,7 @@ def _fork_always(monkeypatch) -> list:
 
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(cli, "PAIR_FORK_FLOOR", 0)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 2)
     return calls
 
 
@@ -419,7 +432,7 @@ def test_a_pair_under_the_floor_loads_without_forking(tmp_path, monkeypatch):
         raise AssertionError("forked under the floor")
 
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 2)
     loaded = cli._load_pair(*paths, ("source", "target"))
     assert [len(d) for d in loaded] == [len(source), len(target)]
 

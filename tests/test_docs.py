@@ -1,9 +1,11 @@
 """The README stays in step with the package."""
+import json
 import re
 from pathlib import Path
 
 from bjda import gradcheck
-from bjda.cli import emit_config
+from bjda.cli import emit_config, main
+from bjda.data import SynthSpec, gen_rotated_blobs, save_csv
 from bjda.train import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,3 +36,22 @@ def test_readme_config_table_lists_exactly_the_emitted_keys_and_defaults():
             documented[key] = default
     emitted = dict(line.split(" = ", 1) for line in emit_config(TrainConfig()).splitlines())
     assert documented == emitted
+
+
+def test_readme_names_exactly_the_summary_keys_bjda_train_writes(tmp_path, capsys):
+    readme = (ROOT / "README.md").read_text()
+    bullets = readme.split("`summary.json`, one\nJSON object with these keys:", 1)[1]
+    bullets = bullets.split("\n\n", 2)[1]
+    documented = [key for line in re.findall(r"^- (.*?):", bullets, flags=re.MULTILINE)
+                  for key in re.findall(r"`(\w+)`", line)]
+    paths = [tmp_path / name for name in ("source.csv", "target.csv")]
+    for dataset, path in zip(gen_rotated_blobs(SynthSpec(classes=2, dim=3, per_class=8)), paths):
+        save_csv(dataset, path)
+    assert main(["train", "--source", str(paths[0]), "--target", str(paths[1]),
+                 "--out", str(tmp_path / "run"), "--set", "t_max=2", "--set", "hidden_dim=4",
+                 "--set", "feat_dim=2", "--set", "batch_source=4",
+                 "--set", "batch_target=4"]) == 0
+    capsys.readouterr()
+    written = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert len(documented) == len(set(documented))
+    assert set(documented) == set(written)

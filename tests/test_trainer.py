@@ -324,11 +324,10 @@ def test_divergent_run_aborts_with_iteration_index():
 
 def test_no_thread_outlives_train(monkeypatch):
     # floor 0 and two CPUs: every train() call opens a helper thread and
-    # gives it every pair of products, SGD half and evaluate chunk
+    # gives it every pair of products, SGD half and evaluate half
     from dataclasses import replace
-    train_module = importlib.import_module("bjda.train")
     monkeypatch.setattr(ad, "HELPER_FLOOR", 0)
-    monkeypatch.setattr(train_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 2)
     source, target = small_pair()
     before = threading.active_count()
     _, metrics = train(source, target, BASE)
@@ -340,14 +339,45 @@ def test_no_thread_outlives_train(monkeypatch):
 
 
 def test_no_helper_off_the_main_thread_or_on_one_cpu(monkeypatch):
-    train_module = importlib.import_module("bjda.train")
     monkeypatch.setattr(ad, "HELPER_FLOOR", 0)
     source, target = small_pair()
-    monkeypatch.setattr(train_module, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 1)
     assert train(source, target, BASE)[1].train_threads == 1
-    monkeypatch.setattr(train_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 2)
     with ThreadPoolExecutor(max_workers=1) as pool:
         assert pool.submit(train, source, target, BASE).result()[1].train_threads == 1
+
+
+def _run_bytes(run) -> tuple[str, bytes]:
+    params, metrics = run
+    return metrics.to_jsonl(), b"".join(params.tensors[n].tobytes() for n in PARAM_NAMES)
+
+
+@pytest.mark.parametrize("per_class, threads", [(525, 2), (200, 1)])
+def test_evaluate_alone_can_put_a_narrow_run_on_two_threads(monkeypatch, per_class, threads):
+    # 128/64 wide on 32 dims and 4 classes: every step product and SGD step
+    # is under the helper's floor. A 2100-row target's second evaluate half
+    # is one 1024-row chunk of 12.8 M multiply-adds, over it; an 800-row
+    # target has no second half, and the helper's thread never starts.
+    source, target = gen_rotated_blobs(SynthSpec(classes=4, dim=32, per_class=per_class,
+                                                 shift_angle=40.0, noise_sigma=0.25))
+    cfg = TrainConfig(hidden_dim=128, feat_dim=64, t_max=20, eval_every=10)
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 1)
+    alone = _run_bytes(train(source, target, cfg))
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 2)
+    started = []
+    thread_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        thread_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    before = threading.active_count()
+    params, metrics = train(source, target, cfg)
+    assert threading.active_count() == before
+    assert metrics.train_threads == threads and len(started) == threads - 1
+    assert _run_bytes((params, metrics)) == alone
 
 
 def test_sgd_update_returns_with_the_helpers_half_done():
@@ -414,18 +444,22 @@ def test_evaluate_rejects_fully_unlabeled_data():
         evaluate(params, ds)
 
 
-def test_evaluate_chunking_does_not_change_predictions():
+def test_evaluate_chunking_does_not_change_predictions(monkeypatch):
     source, _ = small_pair()
     params = init_xavier_params()
-    whole = evaluate(params, source, chunk=1024)
+    whole = evaluate(params, source)
+    train_module = importlib.import_module("bjda.train")
     for chunk in (1, 7, len(source) - 1, len(source)):
-        pieces = evaluate(params, source, chunk=chunk)
+        monkeypatch.setattr(train_module, "EVAL_CHUNK", chunk)
+        pieces = evaluate(params, source)
         assert np.array_equal(whole.predictions, pieces.predictions)
         assert whole.accuracy == pieces.accuracy
 
 
-def test_evaluate_does_not_depend_on_the_worker_count(monkeypatch):
-    # three full chunks and a ragged one of 7 rows
+def test_evaluate_does_not_depend_on_the_worker_count():
+    # three full chunks and a ragged one of 7 rows, evaluated on the caller
+    # alone, on a helper that keeps the second half under its default floor
+    # (6 x 16 x 8 wide) and on one that takes it
     rng = np.random.default_rng(8)
     rows = 3 * 1024 + 7
     labels = rng.integers(-1, 3, size=rows)
@@ -434,11 +468,11 @@ def test_evaluate_does_not_depend_on_the_worker_count(monkeypatch):
     reference = np.concatenate([
         hard_pseudo_labels(predict_probs(params, data.features[i:i + 1024]))[0]
         for i in range(0, rows, 1024)])
-    train_module = importlib.import_module("bjda.train")
-    results = []
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(train_module, "_usable_cpus", lambda cpus=cpus: cpus)
-        results.append(evaluate(params, data))
+    results = [evaluate(params, data)]
+    for helper in (ad.Helper(), ad.Helper(floor=0)):
+        with helper:
+            results.append(evaluate(params, data, helper=helper))
+        assert helper.used == (helper.floor == 0)
     for res in results:
         assert np.array_equal(res.predictions, reference)
         assert res.accuracy == results[0].accuracy
@@ -527,23 +561,18 @@ def test_suite_parallel_matches_serial():
 def test_a_helper_run_beside_another_run_matches_its_one_thread_run(monkeypatch):
     # three threads on at most two CPUs, switching often: a run on the main
     # thread with a helper taking every pair of products, SGD half and
-    # evaluate chunk (floor 0), and a second run beside it, which opens no
+    # evaluate half (floor 0), and a second run beside it, which opens no
     # helper, must write what the first run writes on one thread alone
     from dataclasses import replace
-    train_module = importlib.import_module("bjda.train")
     monkeypatch.setattr(ad, "HELPER_FLOOR", 0)
     source, target = gen_rotated_blobs(SynthSpec(classes=3, dim=6, per_class=400,
                                                  shift_angle=30.0, noise_sigma=0.25))
     cfg = TrainConfig(hidden_dim=512, feat_dim=256, t_max=20, batch_source=32,
                       batch_target=32, eval_every=10)
 
-    def outputs(run):
-        params, metrics = run
-        return metrics.to_jsonl(), b"".join(params.tensors[n].tobytes() for n in PARAM_NAMES)
-
-    monkeypatch.setattr(train_module, "_usable_cpus", lambda: 1)
-    alone = outputs(train(source, target, cfg))
-    monkeypatch.setattr(train_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 1)
+    alone = _run_bytes(train(source, target, cfg))
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -554,7 +583,7 @@ def test_a_helper_run_beside_another_run_matches_its_one_thread_run(monkeypatch)
     finally:
         sys.setswitchinterval(interval)
     assert metrics.train_threads == 2
-    assert outputs((params, metrics)) == alone
+    assert _run_bytes((params, metrics)) == alone
 
 
 def test_concurrent_runs_match_serial_runs_bitwise():
@@ -568,16 +597,12 @@ def test_concurrent_runs_match_serial_runs_bitwise():
                            batch_source=16, batch_target=16, eval_every=10, seed=seed)
                for seed in (0, 1, 2)]
 
-    def outputs(run):
-        params, metrics = run
-        return metrics.to_jsonl(), b"".join(params.tensors[n].tobytes() for n in PARAM_NAMES)
-
-    serial = [outputs(train(source, target, cfg)) for cfg in configs]
+    serial = [_run_bytes(train(source, target, cfg)) for cfg in configs]
     start = threading.Barrier(len(configs))
 
     def run(cfg):
         start.wait(timeout=60)
-        return outputs(train(source, target, cfg))
+        return _run_bytes(train(source, target, cfg))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
