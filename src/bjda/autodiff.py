@@ -24,8 +24,9 @@ it, and every node drops its adjoint rule, whose closure holds the op's
 operands, so a node the caller keeps does not hold the graph below it.
 Values and grads stay readable. A second backward raises InputError.
 Inference needs no tape at all: model.forward_probs repeats the tape ops'
-forward arithmetic on plain arrays (it shares softmax_rows_array with
-softmax_rows), so it gives the same bits.
+forward arithmetic on plain arrays (it shares leaky_relu_array and
+softmax_rows_array with leaky_relu and softmax_rows), so it gives the same
+bits.
 
 A tape may carry a Helper, one worker thread beside the caller's. both()
 runs two independent whole computations at once on it, the second on the
@@ -406,14 +407,26 @@ def clamp_min(a: Value, floor: float) -> Value:
     return a.tape._record(np.maximum(a.value, floor), backward, a)
 
 
+def leaky_relu_array(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
+    """x for x > 0, slope * x otherwise, as max(x, slope * x) with no masked
+    select, written into out, or else into slope * x's buffer. For +0.0 <=
+    slope <= 1 this is the select's value bit for bit, signed zeros
+    included: slope * x has x's sign and lies between 0 and x."""
+    sx = np.multiply(x, slope)
+    return np.maximum(x, sx, out=sx if out is None else out)
+
+
 def leaky_relu(a: Value, slope: float = 0.01) -> Value:
-    """x for x > 0, slope * x otherwise."""
-    slope = float(slope)
+    """x for x > 0, slope * x otherwise; slope must lie in [0, 1]."""
+    slope = float(slope) + 0.0  # a slope of -0.0 becomes +0.0
+    if not 0.0 <= slope <= 1.0:
+        raise ConfigError(f"leaky_relu: slope must lie in [0, 1], got {slope}")
 
     def backward(g):
-        _accumulate(a, g * np.where(a.value > 0.0, 1.0, slope), owned=True)
+        # the factor, 1 where a > 0 and slope elsewhere, as a two-entry lookup
+        _accumulate(a, g * np.array([slope, 1.0])[(a.value > 0.0).view(np.uint8)], owned=True)
 
-    return a.tape._record(np.where(a.value > 0.0, a.value, slope * a.value), backward, a)
+    return a.tape._record(leaky_relu_array(a.value, slope), backward, a)
 
 
 def softmax_rows_array(x: np.ndarray) -> np.ndarray:

@@ -139,19 +139,25 @@ def predict_probs(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return forward_probs(params.tensors, x)
 
 
+def hidden_array(tensors: dict[str, np.ndarray], x: np.ndarray,
+                 h: np.ndarray | None = None) -> np.ndarray:
+    """forward_probs' hidden layer leaky_relu(x W1 + b1), written into h
+    (rows x hidden) when given, with the bits of the tape's."""
+    h = np.matmul(x, tensors["w1"], out=h)
+    h += tensors["b1"]
+    return ad.leaky_relu_array(h, LEAKY_SLOPE, out=h)
+
+
 def forward_probs(tensors: dict[str, np.ndarray], x: np.ndarray,
-                  h: np.ndarray | None = None, g: np.ndarray | None = None) -> np.ndarray:
+                  h: np.ndarray | None = None) -> np.ndarray:
     """forward_f of forward_g's features for x, on plain, unchecked arrays.
 
     Runs the arithmetic of forward_g and forward_f op for op, so the result
-    equals the tape's forward bit for bit: the leaky slope applied in place
-    where h <= 0 gives the bits of autodiff.leaky_relu. h (rows x hidden) and g
-    (rows x feat), when given, are buffers the pass writes into.
+    equals the tape's forward bit for bit. h (rows x hidden), when given, is
+    the buffer the hidden layer is written into. train.evaluate labels
+    through the collapsed head W2 Wc where it proves the same argmax.
     """
-    h = np.matmul(x, tensors["w1"], out=h)
-    h += tensors["b1"]
-    np.multiply(h, LEAKY_SLOPE, out=h, where=h <= 0.0)
-    g = np.matmul(h, tensors["w2"], out=g)
+    g = hidden_array(tensors, x, h) @ tensors["w2"]
     g += tensors["b2"]
     return ad.softmax_rows_array(g @ tensors["wc"] + tensors["bc"])
 

@@ -36,7 +36,8 @@ from .errors import ConfigError, DimensionError, InputError, NumericalError
 from .kernels import GAUSSIAN, KernelSpec, kbw_sq, optimal_assignment
 from .losses import LossBreakdown, Prototypes, one_hot
 from .model import (DEFAULT_FEAT, DEFAULT_HIDDEN, ModelDims, ModelParams, check_finite, forward_f,
-                    forward_g, forward_probs, hard_pseudo_labels, init_xavier, make_leaves)
+                    forward_g, forward_probs, hard_pseudo_labels, hidden_array, init_xavier,
+                    make_leaves)
 
 VARIANTS = ("full", "no_da", "no_dmc", "triplet", "source_only", "wd")
 
@@ -197,7 +198,8 @@ class EpochSampler:
 # floor: the default widths' w1 and w2 are split, their head and biases not.
 SGD_ENTRY_MADDS = 100
 
-# Rows evaluate predicts per forward_probs call.
+# Rows evaluate labels at a time, through the collapsed head where its
+# rounding bound proves them, else through one forward_probs call.
 EVAL_CHUNK = 1024
 
 
@@ -472,13 +474,15 @@ def evaluate(params: ModelParams, data: Dataset,
              helper: ad.Helper | None = None) -> EvalResult:
     """Accuracy over the labeled rows; unlabeled rows are excluded and counted.
 
-    Rows are predicted EVAL_CHUNK at a time with model.forward_probs, the
-    pass of predict_probs, so a reloaded checkpoint predicts the same
-    labels. autodiff.both runs the second of two strided halves of the
-    chunks on the helper, if it takes that work, while the caller runs the
-    first; each half reuses one pair of hidden/feature buffers. A chunk's
-    arithmetic does not depend on its thread, so neither do the
-    predictions. A non-finite parameter raises NumericalError naming it.
+    Rows are labeled EVAL_CHUNK at a time with the argmax of forward_probs,
+    the pass of predict_probs, so a reloaded checkpoint predicts the same
+    labels: from the collapsed head h (W2 Wc) where a rounding bound proves
+    them, else from forward_probs on the whole chunk. autodiff.both runs the
+    second of two strided halves of the chunks on the helper, if it takes
+    that work, while the caller runs the first; each half reuses one
+    hidden-layer buffer. A chunk's arithmetic does not depend on its thread,
+    so neither do the predictions. A non-finite parameter raises
+    NumericalError naming it.
     """
     check_finite(params, "evaluate")
     d = params.dims
@@ -488,19 +492,45 @@ def evaluate(params: ModelParams, data: Dataset,
     n = len(data)
     starts = range(0, n, EVAL_CHUNK)
     preds = np.empty(n, dtype=np.int64)
+    t = params.tensors
+    wc, abs_wc = t["wc"], np.abs(t["wc"])
+    wh, c = t["w2"] @ wc, t["b2"] @ wc + t["bc"]
+    m, r = np.abs(t["w2"]) @ abs_wc, np.abs(t["b2"]) @ abs_wc + np.abs(t["bc"])
+    # A row's label is proved when its collapsed top-two gap clears slack.
+    # By the gamma_n bound for products and sums (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 3.5), in any summation order, both
+    # forward_probs' (h W2 + b2) Wc + bc and the collapsed h wh + c lie within
+    # gamma_n B of this h's exact logits, n = hidden + feat + 3 and B = |h|
+    # |W2| |Wc| + |b2| |Wc| + |bc|; the computed bound is at least (1 -
+    # gamma_n) B. So a gap over 8 gamma_n max_c bound, above 4 gamma_n B,
+    # keeps forward_probs' top class, and the 64u term its lead over 60u:
+    # then softmax shifts the runner-up below -60u, exp (faithful to an ulp)
+    # puts it below 1 - 58u, and dividing it and exp(0) = 1 by the row sum
+    # leaves them many ulps apart, so argmax's tie rule never fires. NaN or
+    # inf fails the test.
+    u = 2.0 ** -53
+    gamma = (d.hidden + d.feat + 3) * u / (1.0 - (d.hidden + d.feat + 3) * u)
 
     def predict(half: range) -> None:
         h = np.empty((min(EVAL_CHUNK, n), d.hidden))
-        g = np.empty((min(EVAL_CHUNK, n), d.feat))
         for start in half:
             x = data.features[start:start + EVAL_CHUNK]
             k = x.shape[0]
-            probs = forward_probs(params.tensors, x, h[:k], g[:k])
+            if d.classes >= 2:
+                logits = hidden_array(t, x, h[:k]) @ wh + c
+                bound = np.abs(h[:k], out=h[:k]) @ m + r
+                top2 = np.partition(logits, d.classes - 2, axis=1)[:, -2:]
+                slack = (8.0 * gamma * bound.max(axis=1)
+                         + 64.0 * u * (1.0 + np.abs(logits).max(axis=1)))
+                if np.all(top2[:, 1] - top2[:, 0] > slack):
+                    preds[start:start + k] = np.argmax(logits, axis=1)
+                    continue
+            probs = forward_probs(t, x, h[:k])
             preds[start:start + k] = hard_pseudo_labels(probs)[0]
 
     second = starts[1::2]
     rows = sum(min(EVAL_CHUNK, n - start) for start in second)
-    work = rows * (d.input_dim * d.hidden + d.hidden * d.feat + d.feat * d.classes)
+    work = rows * (d.input_dim * d.hidden + 2 * d.hidden * d.classes)
     ad.both(helper, work, lambda: predict(starts[0::2]), lambda: predict(second))
 
     labeled = data.labels >= 0

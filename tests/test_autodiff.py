@@ -15,7 +15,8 @@ from bjda.data import SynthSpec, gen_rotated_blobs
 from bjda.errors import ConfigError, DimensionError, DomainError, InputError
 from bjda.gradcheck import central_difference, max_rel_error
 from bjda.losses import l_cls
-from bjda.model import ModelDims, forward_f, forward_g, init_xavier, make_leaves, save_checkpoint
+from bjda.model import (LEAKY_SLOPE, ModelDims, forward_f, forward_g, init_xavier, make_leaves,
+                        save_checkpoint)
 from bjda.train import TrainConfig, train
 
 
@@ -151,6 +152,45 @@ def test_leaky_relu_negative_branch():
     tape = Tape()
     out = ad.leaky_relu(tape.leaf([[-1.0]]), 0.01)
     assert out.value[0, 0] == -0.01
+
+
+# signed zeros, subnormals and entries near the float64 range
+LEAKY_EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300)
+
+
+@st.composite
+def leaky_inputs(draw):
+    n = draw(st.integers(1, 12))
+    entry = st.one_of(st.sampled_from(LEAKY_EDGES),
+                      st.floats(-1e300, 1e300, allow_nan=False, allow_subnormal=True))
+    a = np.array(draw(st.lists(entry, min_size=n, max_size=n))).reshape(1, n)
+    upstream = np.array(draw(st.lists(entry, min_size=n, max_size=n))).reshape(1, n)
+    slope = draw(st.one_of(st.sampled_from([0.0, -0.0, LEAKY_SLOPE, 1.0]), st.floats(0.0, 1.0)))
+    return a, upstream, slope
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(leaky_inputs())
+def test_leaky_relu_property_matches_the_masked_select_bytes(batch):
+    a, upstream, slope = batch
+    slope += 0.0  # leaky_relu takes a slope of -0.0 as +0.0
+    expected = np.where(a > 0.0, a, slope * a)
+    tape = Tape()
+    leaf = tape.leaf(a)
+    out = ad.leaky_relu(leaf, slope)
+    assert out.value.tobytes() == expected.tobytes()
+    out._backward(upstream)
+    assert leaf.grad.tobytes() == (0.0 + upstream * np.where(a > 0.0, 1.0, slope)).tobytes()
+    # forward_probs' in-place form, at the model's slope
+    h = a.copy()
+    assert ad.leaky_relu_array(h, LEAKY_SLOPE, out=h) is h
+    assert h.tobytes() == np.where(a > 0.0, a, LEAKY_SLOPE * a).tobytes()
+
+
+@pytest.mark.parametrize("slope", [-0.5, -1e-300, 1.0 + 2 ** -52, 2.0, float("nan"), float("inf")])
+def test_leaky_relu_rejects_a_slope_outside_the_unit_interval(slope):
+    with pytest.raises(ConfigError, match="slope"):
+        ad.leaky_relu(Tape().leaf([[1.0]]), slope)
 
 
 def test_trace_identity():

@@ -1,4 +1,5 @@
 """Training loop, SGD semantics, evaluation, and the variant sweep."""
+import contextlib
 import functools
 import importlib
 import json
@@ -17,8 +18,9 @@ from bjda.autodiff import Tape
 from bjda.data import Dataset, SynthSpec, gen_rotated_blobs
 from bjda.errors import ConfigError, InputError, NumericalError
 from bjda.losses import one_hot
-from bjda.model import (PARAM_NAMES, ModelDims, forward_f, forward_g, hard_pseudo_labels,
-                        init_xavier, make_leaves, predict_probs)
+from bjda.model import (LEAKY_SLOPE, PARAM_NAMES, ModelDims, forward_f, forward_g,
+                        hard_pseudo_labels, init_xavier, load_checkpoint, make_leaves,
+                        predict_probs, save_checkpoint)
 from bjda.train import (
     EpochSampler,
     TrainConfig,
@@ -357,7 +359,7 @@ def _run_bytes(run) -> tuple[str, bytes]:
 def test_evaluate_alone_can_put_a_narrow_run_on_two_threads(monkeypatch, per_class, threads):
     # 128/64 wide on 32 dims and 4 classes: every step product and SGD step
     # is under the helper's floor. A 2100-row target's second evaluate half
-    # is one 1024-row chunk of 12.8 M multiply-adds, over it; an 800-row
+    # is one 1024-row chunk of 5.2 M multiply-adds, over it; an 800-row
     # target has no second half, and the helper's thread never starts.
     source, target = gen_rotated_blobs(SynthSpec(classes=4, dim=32, per_class=per_class,
                                                  shift_angle=40.0, noise_sigma=0.25))
@@ -478,6 +480,76 @@ def test_evaluate_does_not_depend_on_the_worker_count():
         assert res.accuracy == results[0].accuracy
         assert res.per_class == results[0].per_class
         assert res.n_unlabeled == int((labels < 0).sum())
+
+
+def _evaluate_three_ways(monkeypatch, params, data):
+    """evaluate's predictions with no helper, with Helper() and with
+    Helper(floor=0), each checked against the per-chunk reference
+    hard_pseudo_labels(predict_probs(chunk)). Returns the reference and, per
+    run, how many chunks fell back to forward_probs."""
+    train_module = importlib.import_module("bjda.train")
+    calls = []
+    forward_probs = train_module.forward_probs
+    monkeypatch.setattr(train_module, "forward_probs",
+                        lambda *args: calls.append(1) or forward_probs(*args))
+    reference = np.concatenate([
+        hard_pseudo_labels(predict_probs(params, data.features[i:i + 1024]))[0]
+        for i in range(0, len(data), 1024)])
+    fallbacks = []
+    for helper in (None, ad.Helper(), ad.Helper(floor=0)):
+        calls.clear()
+        with helper or contextlib.nullcontext():
+            assert np.array_equal(evaluate(params, data, helper=helper).predictions, reference)
+        fallbacks.append(len(calls))
+    return reference, fallbacks
+
+
+def _ragged_data(dim, classes, seed=8):
+    # three full chunks and a ragged one of 7 rows
+    rng = np.random.default_rng(seed)
+    rows = 3 * 1024 + 7
+    return Dataset(rng.normal(size=(rows, dim)), rng.integers(0, classes, size=rows), classes)
+
+
+def test_evaluate_takes_the_collapsed_head_on_a_trained_model(monkeypatch):
+    source, target = small_pair()
+    params, _ = train(source, target, BASE)
+    _, fallbacks = _evaluate_three_ways(monkeypatch, params, _ragged_data(6, 3))
+    assert fallbacks == [0, 0, 0]
+
+
+def test_evaluate_falls_back_on_an_exact_tie_and_the_lower_class_wins(monkeypatch):
+    # head columns 1 and 2 equal, with biases that put them first on every row
+    params = init_xavier_params()
+    params.tensors["wc"][:, 2] = params.tensors["wc"][:, 1]
+    params.tensors["bc"][0, 1:] = 5.0
+    reference, fallbacks = _evaluate_three_ways(monkeypatch, params, _ragged_data(6, 3))
+    assert fallbacks == [4, 4, 4]
+    assert (reference == 1).all()
+
+
+def test_evaluate_keeps_the_exact_labels_on_a_near_tie(monkeypatch):
+    # head column 2 is column 1 plus noise far below the logits' rounding;
+    # the collapsed head's unguarded argmax gets some rows wrong
+    params = init_xavier(ModelDims(16, hidden=64, feat=32, classes=3), 0)
+    t = params.tensors
+    rng = np.random.default_rng(5)
+    t["wc"][:, 2] = t["wc"][:, 1] + 1e-16 * rng.normal(size=32)
+    data = Dataset(rng.normal(size=(1024, 16)), rng.integers(0, 3, size=1024), 3)
+    z = data.features @ t["w1"] + t["b1"]
+    h = np.where(z > 0.0, z, LEAKY_SLOPE * z)
+    unguarded = np.argmax(h @ (t["w2"] @ t["wc"]) + (t["b2"] @ t["wc"] + t["bc"]), axis=1)
+    reference, _ = _evaluate_three_ways(monkeypatch, params, data)
+    assert (unguarded != reference).any()
+
+
+def test_a_one_class_checkpoint_predicts_class_zero(monkeypatch, tmp_path):
+    save_checkpoint(init_xavier(ModelDims(6, hidden=16, feat=8, classes=1), 0), tmp_path / "m.bin")
+    params = load_checkpoint(tmp_path / "m.bin")
+    data = _ragged_data(6, 1)
+    reference, fallbacks = _evaluate_three_ways(monkeypatch, params, data)
+    assert (reference == 0).all() and fallbacks == [4, 4, 4]
+    assert evaluate(params, data).accuracy == 1.0
 
 
 # ---------------------------------------------------------------- suite
