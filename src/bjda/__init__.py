@@ -9,7 +9,7 @@ self-contained reverse-mode autodiff tape over float64 matrices.
 from .autodiff import Tape, Value
 from .data import Dataset, SynthSpec, gen_rotated_blobs, load_csv, save_csv
 from .kernels import (KernelSpec, closed_form_bures, exact_wasserstein_sq,
-                      gaussian_bandwidth, kbw_sq, kernel_matrix)
+                      gaussian_bandwidth, kbw_sq)
 from .losses import (LossBreakdown, Prototypes, entropy_margins, l_cls, l_dmc,
                      l_trip, one_hot, total_objective)
 from .model import (ModelDims, ModelParams, forward_f, forward_g,
@@ -24,7 +24,7 @@ __all__ = [
     "Tape", "Value",
     "Dataset", "SynthSpec", "gen_rotated_blobs", "load_csv", "save_csv",
     "KernelSpec", "closed_form_bures", "exact_wasserstein_sq",
-    "gaussian_bandwidth", "kbw_sq", "kernel_matrix",
+    "gaussian_bandwidth", "kbw_sq",
     "LossBreakdown", "Prototypes", "entropy_margins", "l_cls", "l_da",
     "l_dmc", "l_trip", "one_hot", "total_objective",
     "ModelDims", "ModelParams", "forward_f", "forward_g",

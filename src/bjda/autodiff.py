@@ -100,38 +100,17 @@ class Value:
 
     # -- method/operator sugar over the module-level ops --------------------
 
-    def exp(self) -> "Value":
-        return exp(self)
-
-    def log(self) -> "Value":
-        return log(self)
-
     def sqrt(self) -> "Value":
         return sqrt(self)
 
     def sum(self) -> "Value":
         return sum_all(self)
 
-    def trace(self) -> "Value":
-        return trace(self)
-
-    @property
-    def T(self) -> "Value":
-        return transpose(self)
-
     def __matmul__(self, other: "Value") -> "Value":
         return matmul(self, other)
 
     def __add__(self, other: "Value") -> "Value":
         return add(self, other)
-
-    def __sub__(self, other: "Value") -> "Value":
-        return sub(self, other)
-
-    def __mul__(self, other) -> "Value":
-        if isinstance(other, Value):
-            return hadamard(self, other)
-        return scale(self, float(other))
 
     def __repr__(self) -> str:
         return f"Value(shape={self.shape})"
@@ -309,32 +288,16 @@ def matmul_pair(a: Value, c: Value, b: Value) -> tuple[Value, Value]:
     return _record_matmul(a, b, work_a, ab), _record_matmul(c, b, work_c, cb)
 
 
-def _require_same_shape(op: str, a: Value, b: Value) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"{op}: shapes differ, {a.shape} vs {b.shape}")
-
-
 def add(a: Value, b: Value) -> Value:
     tape = _join(a, b)
-    _require_same_shape("add", a, b)
+    if a.shape != b.shape:
+        raise DimensionError(f"add: shapes differ, {a.shape} vs {b.shape}")
 
     def backward(g):
         _accumulate(a, g)
         _accumulate(b, g)
 
     return tape._record(a.value + b.value, backward, a, b)
-
-
-def sub(a: Value, b: Value) -> Value:
-    tape = _join(a, b)
-    _require_same_shape("sub", a, b)
-
-    def backward(g):
-        _accumulate(a, g)
-        if not b.constant:  # x + (-g) rounds as x - g
-            _accumulate(b, -g, owned=True)
-
-    return tape._record(a.value - b.value, backward, a, b)
 
 
 def scale(a: Value, s: float) -> Value:
@@ -345,41 +308,6 @@ def scale(a: Value, s: float) -> Value:
         _accumulate(a, g * s, owned=True)
 
     return a.tape._record(a.value * s, backward, a)
-
-
-def hadamard(a: Value, b: Value) -> Value:
-    """Elementwise product."""
-    tape = _join(a, b)
-    _require_same_shape("hadamard", a, b)
-
-    def backward(g):
-        if not a.constant:
-            _accumulate(a, g * b.value, owned=True)
-        if not b.constant:
-            _accumulate(b, g * a.value, owned=True)
-
-    return tape._record(a.value * b.value, backward, a, b)
-
-
-def exp(a: Value) -> Value:
-    e = np.exp(a.value)
-
-    def backward(g):
-        _accumulate(a, g * e, owned=True)
-
-    return a.tape._record(e, backward, a)
-
-
-def log(a: Value) -> Value:
-    """Natural log; every entry must be strictly positive."""
-    if a.value.size and np.min(a.value) <= 0.0:
-        i, j = np.argwhere(a.value <= 0.0)[0]
-        raise DomainError(f"log: nonpositive entry {a.value[i, j]!r} at ({i}, {j})")
-
-    def backward(g):
-        _accumulate(a, g / a.value, owned=True)
-
-    return a.tape._record(np.log(a.value), backward, a)
 
 
 def sqrt(a: Value) -> Value:
@@ -395,16 +323,6 @@ def sqrt(a: Value) -> Value:
         _accumulate(a, g * factor, owned=True)
 
     return a.tape._record(root, backward, a)
-
-
-def clamp_min(a: Value, floor: float) -> Value:
-    """max(a, floor) elementwise; gradient passes only where a > floor."""
-    floor = float(floor)
-
-    def backward(g):
-        _accumulate(a, g * (a.value > floor), owned=True)
-
-    return a.tape._record(np.maximum(a.value, floor), backward, a)
 
 
 def leaky_relu_array(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -423,8 +341,10 @@ def leaky_relu(a: Value, slope: float = 0.01) -> Value:
         raise ConfigError(f"leaky_relu: slope must lie in [0, 1], got {slope}")
 
     def backward(g):
-        # the factor, 1 where a > 0 and slope elsewhere, as a two-entry lookup
-        _accumulate(a, g * np.array([slope, 1.0])[(a.value > 0.0).view(np.uint8)], owned=True)
+        # the factor, 1 where a > 0 and slope elsewhere, as max(a > 0, slope)
+        f = (a.value > 0.0).astype(np.float64)
+        np.maximum(f, slope, out=f)
+        _accumulate(a, np.multiply(g, f, out=f), owned=True)
 
     return a.tape._record(leaky_relu_array(a.value, slope), backward, a)
 
@@ -466,25 +386,6 @@ def sum_all(a: Value) -> Value:
         _accumulate(a, np.full(a.shape, g[0, 0]), owned=True)
 
     return a.tape._record(np.array([[a.value.sum()]]), backward, a)
-
-
-def trace(a: Value) -> Value:
-    """Trace of a square matrix, as a 1x1 matrix."""
-    n, m = a.shape
-    if n != m:
-        raise DimensionError(f"trace: matrix must be square, got {a.shape}")
-
-    def backward(g):
-        _accumulate(a, g[0, 0] * np.eye(n), owned=True)
-
-    return a.tape._record(np.array([[np.trace(a.value)]]), backward, a)
-
-
-def transpose(a: Value) -> Value:
-    def backward(g):
-        _accumulate(a, g.T)
-
-    return a.tape._record(a.value.T.copy(), backward, a)
 
 
 def take(a: Value, rows, cols=None) -> Value:

@@ -123,9 +123,12 @@ def run_all(seed: int = 0) -> list[CheckResult]:
 
 
 def _weighted(op: Callable[..., Value], weights: np.ndarray):
-    """Contract an op's matrix output to a scalar against fixed weights."""
+    """Contract an op's matrix output to a scalar against fixed weights: its
+    entries gathered into a column, times the weights as one row."""
+    rows, cols = np.indices(weights.shape).reshape(2, -1)
+
     def build(tape: Tape, leaves: Sequence[Value]) -> Value:
-        return (op(tape, leaves) * tape.constant(weights, "w")).sum()
+        return tape.constant(weights.reshape(1, -1), "w") @ ad.take(op(tape, leaves), rows, cols)
     return build
 
 
@@ -148,39 +151,23 @@ def _separated_singular_matrix(rng: np.random.Generator,
 
 
 def _op_cases(rng: np.random.Generator) -> list[CheckCase]:
-    n3x4 = rng.standard_normal((3, 4))
-    m3x4 = rng.standard_normal((3, 4))
-    cases = [
+    return [
         CheckCase("matmul", [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))],
                   _weighted(lambda t, l: l[0] @ l[1], rng.standard_normal((3, 2))), 1e-6),
-        CheckCase("add", [n3x4.copy(), m3x4.copy()],
+        CheckCase("add", [rng.standard_normal((3, 4)), rng.standard_normal((3, 4))],
                   _weighted(lambda t, l: l[0] + l[1], rng.standard_normal((3, 4))), 1e-6),
-        CheckCase("sub", [n3x4.copy(), m3x4.copy()],
-                  _weighted(lambda t, l: l[0] - l[1], rng.standard_normal((3, 4))), 1e-6),
         CheckCase("scale", [rng.standard_normal((3, 3))],
                   _weighted(lambda t, l: ad.scale(l[0], -1.7), rng.standard_normal((3, 3))), 1e-6),
         CheckCase("take_rows", [rng.standard_normal((3, 3))],
                   _weighted(lambda t, l: ad.take(l[0], [2, 0, 2]), rng.standard_normal((3, 3))), 1e-6),
-        CheckCase("hadamard", [rng.standard_normal((4, 3)), rng.standard_normal((4, 3))],
-                  _weighted(lambda t, l: l[0] * l[1], rng.standard_normal((4, 3))), 1e-6),
-        CheckCase("exp", [rng.uniform(-1.5, 1.5, (3, 4))],
-                  _weighted(lambda t, l: l[0].exp(), rng.standard_normal((3, 4))), 1e-6),
-        CheckCase("log", [rng.uniform(0.5, 2.0, (3, 4))],
-                  _weighted(lambda t, l: l[0].log(), rng.standard_normal((3, 4))), 1e-6),
         CheckCase("sqrt", [rng.uniform(0.4, 2.0, (3, 4))],
                   _weighted(lambda t, l: l[0].sqrt(), rng.standard_normal((3, 4))), 1e-6),
-        CheckCase("clamp_min", [_away_from(rng, (4, 4), 0.25, 0.15)],
-                  _weighted(lambda t, l: ad.clamp_min(l[0], 0.25), rng.standard_normal((4, 4))), 1e-6),
         CheckCase("leaky_relu", [_away_from(rng, (4, 4), 0.0, 0.1)],
                   _weighted(lambda t, l: ad.leaky_relu(l[0], 0.01), rng.standard_normal((4, 4))), 1e-6),
         CheckCase("softmax_rows", [rng.standard_normal((4, 5))],
                   _weighted(lambda t, l: ad.softmax_rows(l[0]), rng.standard_normal((4, 5))), 1e-6),
         CheckCase("sum", [rng.standard_normal((4, 3))],
                   lambda t, l: l[0].sum(), 1e-6),
-        CheckCase("trace", [rng.standard_normal((4, 4))],
-                  lambda t, l: l[0].trace(), 1e-6),
-        CheckCase("transpose", [rng.standard_normal((3, 5))],
-                  _weighted(lambda t, l: l[0].T, rng.standard_normal((5, 3))), 1e-6),
         CheckCase("add_rowvec", [rng.standard_normal((4, 3)), rng.standard_normal((1, 3))],
                   _weighted(lambda t, l: ad.add_rowvec(l[0], l[1]), rng.standard_normal((4, 3))), 1e-6),
         CheckCase("vstack", [rng.standard_normal((3, 4)), rng.standard_normal((2, 4))],
@@ -192,7 +179,6 @@ def _op_cases(rng: np.random.Generator) -> list[CheckCase]:
                   lambda t, l: ad.nuclear_norm(l[0]), 1e-4),
         _triplet_hinge_case(rng),
     ]
-    return cases
 
 
 def _hinge_args(d: np.ndarray, labels: np.ndarray, margin: float) -> np.ndarray:

@@ -36,9 +36,8 @@ class KernelSpec:
     bandwidth_sq is sigma^2 in k(x, y) = exp(-|x - y|^2 / sigma^2). When None,
     the bandwidth comes from the mean-distance heuristic, gaussian_bandwidth:
     kbw_sq takes it once over the pooled rows of both samples and uses it for
-    all three of its Gram matrices (one kernel, one RKHS); a lone
-    kernel_matrix call takes it over the pairs (a_i, b_j) of that matrix.
-    The linear kernel takes no bandwidth_sq.
+    all three of its Gram matrices (one kernel, one RKHS). The linear kernel
+    takes no bandwidth_sq.
     """
     kind: str = GAUSSIAN
     bandwidth_sq: float | None = None
@@ -93,14 +92,6 @@ def gaussian_bandwidth(a: np.ndarray, b: np.ndarray) -> float:
     return mean if mean > 0.0 else 1.0
 
 
-def _as_value(x, tape: Tape | None, name: str) -> Value:
-    if isinstance(x, Value):
-        return x
-    if tape is None:
-        raise InputError(f"{name}: plain matrices need an explicit tape")
-    return tape.leaf(x, name)
-
-
 def _centered(x: np.ndarray) -> np.ndarray:
     """H_n x H_m for the n x m matrix x, H_k = I - (1/k) 1 1^T, in O(nm):
     the column means come off, then the row means of what is left."""
@@ -130,20 +121,19 @@ def _gram_adjoint(a: np.ndarray, b: np.ndarray, k: np.ndarray, spec: KernelSpec,
             2.0 * (dd.sum(axis=0)[:, None] * b - dd.T @ a))
 
 
-def _gram_node(av: Value, bv: Value, spec: KernelSpec, centered: bool) -> Value:
-    """One tape node holding K_ab, or with centered H_n K_ab H_m; its adjoint
-    goes straight into a and b (centering is symmetric, so it centers the
-    upstream gradient first)."""
+def _gram_node(av: Value, bv: Value, spec: KernelSpec) -> Value:
+    """One tape node holding H_n K_ab H_m; its adjoint goes straight into a
+    and b (centering is symmetric, so it centers the upstream gradient first)."""
     tape = ad._join(av, bv)
     a, b = av.value, bv.value
     k = _gram(a, b, spec)
 
     def backward(g):
-        da, db = _gram_adjoint(a, b, k, spec, _centered(g) if centered else g)
+        da, db = _gram_adjoint(a, b, k, spec, _centered(g))
         ad._accumulate(av, da, owned=True)
         ad._accumulate(bv, db, owned=True)
 
-    return tape._record(_centered(k) if centered else k, backward, av, bv)
+    return tape._record(_centered(k), backward, av, bv)
 
 
 def _self_term(k: np.ndarray) -> float:
@@ -187,29 +177,6 @@ def _bures_combine(av: Value, bv: Value, coupling: Value, spec: KernelSpec) -> V
     return av.tape._record(np.array([[max(dist_sq, 0.0)]]), backward, av, bv, coupling)
 
 
-def kernel_matrix(a, b, spec: KernelSpec = KernelSpec(),
-                  tape: Tape | None = None) -> Value:
-    """Kernel matrix K[i, j] = k(a_i, b_j) as one tape node, differentiable
-    w.r.t. a and b.
-
-    a and b may be Values on a shared tape or plain matrices (then a tape is
-    required). A Gaussian spec without a fixed bandwidth takes the heuristic
-    over the pairs of this one matrix.
-    """
-    if tape is None:
-        if isinstance(a, Value):
-            tape = a.tape
-        elif isinstance(b, Value):
-            tape = b.tape
-    av = _as_value(a, tape, "a")
-    bv = _as_value(b, tape, "b")
-    if av.shape[1] != bv.shape[1]:
-        raise DimensionError(f"kernel_matrix: feature dims differ, {av.shape} vs {bv.shape}")
-    if spec.kind == GAUSSIAN and spec.bandwidth_sq is None:
-        spec = KernelSpec(GAUSSIAN, gaussian_bandwidth(av.value, bv.value))
-    return _gram_node(av, bv, spec, centered=False)
-
-
 def kbw_sq(a, b, spec: KernelSpec = KernelSpec(),
            tape: Tape | None = None) -> Value:
     """Squared kernel Bures-Wasserstein distance between two samples.
@@ -231,8 +198,8 @@ def kbw_sq(a, b, spec: KernelSpec = KernelSpec(),
     """
     if tape is None:
         tape = a.tape if isinstance(a, Value) else (b.tape if isinstance(b, Value) else Tape())
-    av = _as_value(a, tape, "a")
-    bv = _as_value(b, tape, "b")
+    av = a if isinstance(a, Value) else tape.leaf(a, "a")
+    bv = b if isinstance(b, Value) else tape.leaf(b, "b")
     n, m = av.shape[0], bv.shape[0]
     if n < 2 or m < 2:
         raise InputError(f"kbw_sq: need at least 2 rows per sample, got n={n}, m={m}")
@@ -242,7 +209,7 @@ def kbw_sq(a, b, spec: KernelSpec = KernelSpec(),
     if spec.kind == GAUSSIAN and spec.bandwidth_sq is None:
         pooled = np.vstack([av.value, bv.value])
         spec = KernelSpec(GAUSSIAN, gaussian_bandwidth(pooled, pooled))
-    coupling = ad.nuclear_norm(_gram_node(av, bv, spec, centered=True))
+    coupling = ad.nuclear_norm(_gram_node(av, bv, spec))
     return _bures_combine(av, bv, coupling, spec)
 
 

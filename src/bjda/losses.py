@@ -6,8 +6,8 @@ that combines them with these.
 Everything here returns 1x1 tape Values so the trainer can combine terms and
 run one backward pass. Quantities the gradient must NOT flow through
 (prediction probabilities used as margins, prototype coordinates, pseudo
-labels) are taken as plain arrays, never tape Values, and go on the tape
-as constants.
+labels) are taken as plain arrays, never tape Values, and held inside the
+loss's node. l_cls and l_dmc record one node each.
 """
 from __future__ import annotations
 
@@ -91,20 +91,30 @@ class LossBreakdown:
 
 
 def l_cls(pred_probs: Value, y_onehot: np.ndarray) -> Value:
-    """Mean cross-entropy -(1/n) sum_i sum_c y_ic ln p_ic.
+    """Mean cross-entropy -(1/n) sum_i sum_c y_ic ln p_ic, as one tape node.
 
     Probabilities are clamped at 1e-12 before the log, so saturated softmax
-    outputs cannot produce infinities.
+    outputs cannot produce infinities; gradient passes only where p > 1e-12.
+    The adjoint replays the clamp's, log's, product's, sum's and scale's,
+    each first write + 0.0 included, so it gives the composed form's bits.
     """
     n, c = pred_probs.shape
-    y = np.asarray(y_onehot, dtype=np.float64)
+    y = ad.as_matrix(y_onehot, "y_onehot")
     if y.shape != (n, c):
         raise DimensionError(f"l_cls: labels {y.shape} do not match predictions {(n, c)}")
     if n == 0:
         raise InputError("l_cls: empty batch")
-    y_leaf = pred_probs.tape.constant(y, "y_onehot")
-    logp = ad.clamp_min(pred_probs, PROB_FLOOR).log()
-    return ad.scale((logp * y_leaf).sum(), -1.0 / n)
+    p = pred_probs.value
+    clamped = np.maximum(p, PROB_FLOOR)
+    k = -1.0 / n
+
+    def backward(grad):
+        d_sum = np.full((n, c), (grad * k + 0.0)[0, 0]) + 0.0
+        d_log = (d_sum * y + 0.0) / clamped + 0.0
+        ad._accumulate(pred_probs, d_log * (p > PROB_FLOOR), owned=True)
+
+    value = np.array([[(np.log(clamped) * y).sum()]]) * k
+    return pred_probs.tape._record(value, backward, pred_probs)
 
 
 def l_dmc(g: Value, labels: np.ndarray, pred_probs: np.ndarray,
@@ -122,6 +132,11 @@ def l_dmc(g: Value, labels: np.ndarray, pred_probs: np.ndarray,
     whose own prototype is absent, or with no other prototype present, are
     skipped; the skip count is returned.
     Ties in the min go to the lowest class index.
+
+    One tape node. Its adjoint replays the scale's, sum's, clamp's at 0,
+    difference's, the two picks' (the negative's first) and the square
+    root's, each first write + 0.0 included, then the distances' row adjoint
+    into g, so it gives the composed form's bits.
     """
     n = g.shape[0]
     labels = np.asarray(labels)
@@ -143,20 +158,34 @@ def l_dmc(g: Value, labels: np.ndarray, pred_probs: np.ndarray,
     if not valid.any():
         return tape.constant(np.zeros((1, 1)), "l_dmc_zero"), skipped
 
-    dist = ad.pairwise_sqdist(g, tape.constant(protos.vectors, "protos")).sqrt()
+    gv, protos_v = g.value, protos.vectors.copy()
+    sq = ad.pairwise_sqdist_matrix(gv, protos_v)
+    dist = np.sqrt(sq)
 
-    # negative class: nearest *present* other-class prototype, on detached
-    # distances, first index winning ties
-    masked = np.where(other_present, dist.value, np.inf)
-    neg_idx = np.argmin(masked, axis=1)
+    # negative class: nearest *present* other-class prototype, first index
+    # winning ties
+    neg_idx = np.argmin(np.where(other_present, dist, np.inf), axis=1)
 
     # a skipped row reads its own prototype twice: its hinge argument is 0
     rows = np.arange(n)
-    d_pos = ad.take(dist, rows, labels)
-    d_neg = ad.take(dist, rows, np.where(valid, neg_idx, labels))
+    neg_cols = np.where(valid, neg_idx, labels)
     margins = (entropy_margins(pred_probs) * valid).reshape(n, 1)
-    hinge = ad.clamp_min(d_pos - d_neg + tape.constant(margins, "margins"), 0.0)
-    return ad.scale(hinge.sum(), 1.0 / (n - skipped)), skipped
+    arg = (dist[rows, labels] - dist[rows, neg_cols]).reshape(n, 1) + margins
+    k = 1.0 / (n - skipped)
+
+    def backward(grad):
+        d_arg = (np.full((n, 1), (grad * k + 0.0)[0, 0]) + 0.0) * (arg > 0.0) + 0.0
+        # the margins' add passes d_arg on as d_arg + 0.0, which is d_arg
+        d_dist = np.zeros_like(dist)
+        np.add.at(d_dist, (rows, neg_cols), (-d_arg + 0.0)[:, 0])
+        np.add.at(d_dist, (rows, labels), (d_arg + 0.0)[:, 0])
+        with np.errstate(divide="ignore"):
+            d_sq = d_dist * np.where(sq > 0.0, 0.5 / dist, 0.0) + 0.0
+        ad._accumulate(g, 2.0 * (d_sq.sum(axis=1, keepdims=True) * gv - d_sq @ protos_v),
+                       owned=True)
+
+    value = np.array([[np.maximum(arg, 0.0).sum()]]) * k
+    return tape._record(value, backward, g), skipped
 
 
 def l_trip(g: Value, labels: np.ndarray, margin: float) -> tuple[Value, int]:

@@ -4,13 +4,13 @@ import itertools
 import numpy as np
 import pytest
 
+import tape_ops as ops
 from bjda import autodiff as ad
 from bjda.autodiff import Tape
 from bjda.errors import ConfigError, DimensionError, InputError
-from bjda.kernels import (KernelSpec, _centered, closed_form_bures,
+from bjda.kernels import (KernelSpec, _centered, _gram, _gram_node, closed_form_bures,
                           exact_wasserstein_sq, gaussian_bandwidth,
-                          kbw_sq, kernel_matrix, optimal_assignment,
-                          pairwise_sqdist_matrix)
+                          kbw_sq, optimal_assignment, pairwise_sqdist_matrix)
 
 
 def kbw_value(a, b, spec=KernelSpec()) -> float:
@@ -98,7 +98,7 @@ def test_kernel_spec_validates():
 
 def test_gaussian_self_similarity_is_one():
     x = np.random.default_rng(0).normal(size=(5, 3))
-    k = kernel_matrix(x, x, KernelSpec(), tape=Tape()).value
+    k = _gram(x, x, KernelSpec(bandwidth_sq=gaussian_bandwidth(x, x)))
     assert np.allclose(np.diag(k), 1.0, atol=1e-15)
     assert k.max() <= 1.0 and k.min() > 0.0
 
@@ -106,44 +106,40 @@ def test_gaussian_self_similarity_is_one():
 def test_gaussian_fixed_bandwidth_hand_value():
     a = np.array([[0.0]])
     b = np.array([[2.0]])
-    k = kernel_matrix(a, b, KernelSpec(bandwidth_sq=2.0), tape=Tape()).value
+    k = _gram(a, b, KernelSpec(bandwidth_sq=2.0))
     assert k[0, 0] == pytest.approx(np.exp(-2.0), rel=1e-15)
 
 
 def test_linear_kernel_orthogonal_vectors():
     a = np.array([[1.0, 0.0]])
     b = np.array([[0.0, 1.0]])
-    k = kernel_matrix(a, b, KernelSpec(kind="linear"), tape=Tape()).value
+    k = _gram(a, b, KernelSpec(kind="linear"))
     assert k[0, 0] == 0.0
 
 
-def test_kernel_matrix_plain_arrays_need_a_tape():
-    with pytest.raises(InputError):
-        kernel_matrix(np.ones((2, 2)), np.ones((2, 2)))
-
-
-def test_kernel_matrix_mixed_value_and_array():
+def test_kbw_sq_mixed_value_and_array():
     tape = Tape()
     a = tape.leaf(np.ones((2, 2)))
-    k = kernel_matrix(a, np.zeros((3, 2)), KernelSpec(bandwidth_sq=1.0))
-    assert k.shape == (2, 3)
+    d = kbw_sq(a, np.zeros((3, 2)), KernelSpec(bandwidth_sq=1.0))
+    assert d.tape is tape and len(tape) == 5   # a, the array's leaf, three nodes
 
 
 @pytest.mark.parametrize("spec", [KernelSpec(), KernelSpec(bandwidth_sq=1.5),
                                   KernelSpec("linear")], ids=["auto", "fixed", "linear"])
-def test_kernel_matrix_is_one_node_with_the_composed_gradient(spec):
+def test_centered_gram_node_is_one_node_with_the_composed_gradient(spec):
     rng = np.random.default_rng(10)
     a, b, w = rng.normal(size=(5, 3)), rng.normal(size=(4, 3)), rng.normal(size=(5, 4))
+    spec = resolve(spec, gaussian_bandwidth(a, b))
     grads = []
     for fused in (True, False):
         tape = Tape()
         av, bv = tape.leaf(a), tape.leaf(b)
         if fused:
-            k = kernel_matrix(av, bv, spec)
+            k = _gram_node(av, bv, spec)
             assert len(tape) == 3
         else:
-            k = gram_reference(av, bv, resolve(spec, gaussian_bandwidth(a, b)))
-        tape.backward((k * tape.constant(w)).sum())
+            k = center_reference(gram_reference(av, bv, spec))
+        tape.backward(ops.hadamard(k, tape.constant(w)).sum())
         grads.append((k.value, av.grad, bv.grad))
     for got, want in zip(*grads):
         assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
@@ -220,8 +216,8 @@ def resolve(spec, bandwidth_sq):
 def gram_reference(av, bv, spec):
     """Kernel matrix composed of tape ops: a matmul, or three Gaussian nodes."""
     if spec.kind == "linear":
-        return av @ bv.T
-    return ad.scale(ad.pairwise_sqdist(av, bv), -1.0 / spec.bandwidth_sq).exp()
+        return av @ ops.transpose(bv)
+    return ops.exp(ad.scale(ad.pairwise_sqdist(av, bv), -1.0 / spec.bandwidth_sq))
 
 
 def center_reference(x):
@@ -242,11 +238,11 @@ def kbw_sq_reference(av, bv, spec):
     pooled = np.vstack([av.value, bv.value])
     mean = pairwise_sqdist_matrix(pooled, pooled).mean()
     spec = resolve(spec, mean if mean > 0.0 else 1.0)
-    term_a = ad.scale(center_reference(gram_reference(av, av, spec)).trace(), 1.0 / n)
-    term_b = ad.scale(center_reference(gram_reference(bv, bv, spec)).trace(), 1.0 / m)
+    term_a = ad.scale(ops.trace(center_reference(gram_reference(av, av, spec))), 1.0 / n)
+    term_b = ad.scale(ops.trace(center_reference(gram_reference(bv, bv, spec))), 1.0 / m)
     coupling = ad.nuclear_norm(center_reference(gram_reference(av, bv, spec)))
-    dist_sq = term_a + term_b - ad.scale(coupling, 2.0 / np.sqrt(n * m))
-    return ad.clamp_min(dist_sq, 0.0)
+    dist_sq = ops.sub(term_a + term_b, ad.scale(coupling, 2.0 / np.sqrt(n * m)))
+    return ops.clamp_min(dist_sq, 0.0)
 
 
 def kbw_with_grads(op, a, b, spec):

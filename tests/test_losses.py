@@ -1,19 +1,23 @@
 """Hand values and invariants for the loss layer."""
 import collections
 import importlib
+import inspect
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tape_ops as ops
 from bjda import autodiff as ad
 from bjda import kernels
 from bjda.autodiff import Tape
 from bjda.errors import ConfigError, DimensionError, InputError
+from bjda.gradcheck import central_difference, max_rel_error
 from bjda.kernels import KernelSpec, kbw_sq
 from bjda.data import SynthSpec, gen_rotated_blobs
 from bjda.losses import (
+    PROB_FLOOR,
     Prototypes,
     entropy_margins,
     l_cls,
@@ -22,10 +26,21 @@ from bjda.losses import (
     one_hot,
     total_objective,
 )
-from bjda.train import TrainConfig, l_da, train
+from bjda.train import VARIANTS, TrainConfig, l_da, train
 
 
 # ---------------------------------------------------------------- helpers
+
+def loss_bytes(loss, x, *args, upstream=0.7):
+    """The bytes of loss(leaf of x, *args), of any count it returns beside it,
+    and of the leaf's gradient after a backward pass from upstream * loss."""
+    tape = Tape()
+    leaf = tape.leaf(x, "x")
+    out = loss(leaf, *args)
+    value, rest = (out[0], out[1:]) if isinstance(out, tuple) else (out, ())
+    tape.backward(ad.scale(value, upstream))
+    return value.value.tobytes(), rest, leaf.grad.tobytes()
+
 
 def protos_from(features, labels, class_count, mode="batch", decay=0.9):
     feats = np.asarray(features, dtype=np.float64)
@@ -114,6 +129,34 @@ def test_cls_shape_mismatch_and_empty_batch_raise():
     empty = tape.leaf(np.zeros((0, 3)), "p0")
     with pytest.raises(InputError):
         l_cls(empty, np.zeros((0, 3)))
+
+
+def l_cls_reference(pred_probs, y_onehot):
+    """l_cls composed of tape ops: the clamp at 1e-12, the log, the product
+    with the one-hot rows, the sum and the scale by -1/n."""
+    logp = ops.log(ops.clamp_min(pred_probs, PROB_FLOOR))
+    product = ops.hadamard(logp, pred_probs.tape.constant(y_onehot, "y_onehot"))
+    return ad.scale(product.sum(), -1.0 / pred_probs.shape[0])
+
+
+@st.composite
+def cls_batches(draw):
+    n, c = draw(st.integers(1, 8)), draw(st.integers(2, 5))
+    labels = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)))
+    # at, below and far below the floor, where no gradient passes
+    entry = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-13, PROB_FLOOR, 1.0]),
+                      st.floats(0.0, 1.0))
+    probs = np.array(draw(st.lists(entry, min_size=n * c, max_size=n * c))).reshape(n, c)
+    upstream = draw(st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-1e3, 1e3)))
+    return probs, one_hot(labels, c), upstream
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cls_batches())
+def test_cls_property_matches_the_composed_form_bit_for_bit(batch):
+    probs, y, upstream = batch
+    assert loss_bytes(l_cls, probs, y, upstream=upstream) == \
+           loss_bytes(l_cls_reference, probs, y, upstream=upstream)
 
 
 # ---------------------------------------------------------------- l_da
@@ -288,16 +331,8 @@ def test_dmc_gradient_matches_finite_differences():
     loss, _ = l_dmc(g, labels, probs, protos)
     tape.backward(loss)
 
-    h = 1e-6
-    fd = np.zeros_like(g0)
-    for i in range(g0.shape[0]):
-        for j in range(g0.shape[1]):
-            up, dn = g0.copy(), g0.copy()
-            up[i, j] += h
-            dn[i, j] -= h
-            fd[i, j] = (value_at(up) - value_at(dn)) / (2 * h)
-    denom = max(np.abs(fd).max(), 1e-12)
-    assert np.abs(g.grad - fd).max() / denom <= 1e-4
+    fd = central_difference(value_at, g0, h=1e-6)
+    assert max_rel_error(g.grad, fd, floor=1e-12) <= 1e-4
 
 
 def test_dmc_is_a_mean_over_rows():
@@ -374,10 +409,10 @@ def l_dmc_with_masks(g, labels, pred_probs, protos):
     pos_mask[rows, labels[valid]] = 1.0
     neg_mask[rows, neg_idx[valid]] = 1.0
     ones_c = tape.leaf(np.ones((c_count, 1)), "ones")
-    d_pos = (dist * tape.leaf(pos_mask, "pos_mask")) @ ones_c
-    d_neg = (dist * tape.leaf(neg_mask, "neg_mask")) @ ones_c
+    d_pos = ops.hadamard(dist, tape.leaf(pos_mask, "pos_mask")) @ ones_c
+    d_neg = ops.hadamard(dist, tape.leaf(neg_mask, "neg_mask")) @ ones_c
     margins = (entropy_margins(pred_probs) * valid).reshape(n, 1)
-    hinge = ad.clamp_min(d_pos - d_neg + tape.leaf(margins, "margins"), 0.0)
+    hinge = ops.clamp_min(ops.sub(d_pos, d_neg) + tape.leaf(margins, "margins"), 0.0)
     return ad.scale(hinge.sum(), 1.0 / (n - skipped)), skipped
 
 
@@ -401,18 +436,7 @@ def dmc_batches(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(dmc_batches())
 def test_dmc_property_matches_the_mask_and_ones_form(batch):
-    g, labels, probs, protos = batch
-    results = []
-    for loss in (l_dmc, l_dmc_with_masks):
-        tape = Tape()
-        leaf = tape.leaf(g, "g")
-        value, skipped = loss(leaf, labels, probs, protos)
-        tape.backward(ad.scale(value, 0.7))
-        results.append((value.value, skipped, leaf.grad))
-    (new_value, new_skipped, new_grad), (ref_value, ref_skipped, ref_grad) = results
-    assert new_skipped == ref_skipped
-    assert np.array_equal(new_value, ref_value)
-    assert np.array_equal(new_grad, ref_grad)
+    assert loss_bytes(l_dmc, *batch) == loss_bytes(l_dmc_with_masks, *batch)
 
 
 def test_dmc_is_always_nonnegative():
@@ -483,18 +507,24 @@ def test_trip_records_a_fixed_number_of_tape_nodes():
     assert added == [3, 3]
 
 
-def test_training_records_a_fixed_number_of_tape_nodes(monkeypatch):
-    # per iteration, whatever the batch: a full-batch gather adds no nodes
+def see_tapes(monkeypatch, seen):
+    """Call seen(tape) on every tape just before its backward pass."""
     real_backward = Tape.backward
-    counts = []
 
-    def counting_backward(tape, root):
-        counts.append(len(tape))
+    def backward(tape, root):
+        seen(tape)
         real_backward(tape, root)
 
-    monkeypatch.setattr(Tape, "backward", counting_backward)
+    monkeypatch.setattr(Tape, "backward", backward)
+
+
+def test_training_records_a_fixed_number_of_tape_nodes(monkeypatch):
+    # per iteration, whatever the batch: a full-batch gather adds no nodes
+    counts = []
+    see_tapes(monkeypatch, lambda tape: counts.append(len(tape)))
     source, target = gen_rotated_blobs(SynthSpec(dim=6, per_class=40, shift_angle=40.0))
-    expected = {"full": 54, "no_dmc": 40, "wd": 55, "triplet": 46, "source_only": 30}
+    expected = {"full": 39, "no_dmc": 35, "wd": 40, "triplet": 41, "source_only": 25,
+                "no_da": 29}
     seen = {}
     for variant in expected:
         for batch in (16, 64):
@@ -504,6 +534,24 @@ def test_training_records_a_fixed_number_of_tape_nodes(monkeypatch):
                 batch_source=batch, batch_target=batch))
             seen[variant, batch] = set(counts)
     assert seen == {(v, b): {n} for v, n in expected.items() for b in (16, 64)}
+
+
+def test_the_tape_keeps_only_the_ops_training_records(monkeypatch):
+    # every autodiff function that holds a nested adjoint shows up on a
+    # training tape of some variant, with pl off or on
+    held = {name for name, f in vars(ad).items()
+            if inspect.isfunction(f) and f.__module__ == ad.__name__
+            and any(getattr(c, "co_name", None) == "backward" for c in f.__code__.co_consts)}
+    recorded = set()
+    see_tapes(monkeypatch, lambda tape: recorded.update(
+        node._backward.__qualname__.split(".")[0] for node in tape._nodes
+        if node._backward is not None and node._backward.__module__ == ad.__name__))
+    source, target = gen_rotated_blobs(SynthSpec(dim=6, per_class=40, shift_angle=40.0))
+    for variant in VARIANTS:
+        for pl in (False, True):
+            train(source, target, TrainConfig(variant=variant, pl=pl, hidden_dim=16,
+                                              feat_dim=8, t_max=2, eval_every=2))
+    assert recorded == held
 
 
 def test_each_kbw_sq_of_a_full_step_calls_the_bandwidth_and_the_svd_once(monkeypatch):
