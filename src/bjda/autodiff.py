@@ -461,13 +461,18 @@ def triplet_hinge(d: Value, labels, margin: float) -> Value:
     """Batch-all triplet hinge sum, as a 1x1 matrix.
 
     Sums max{d_ij - d_ik + margin, 0} over anchors i, same-class j != i and
-    other-class k, reading anchor rows of the n x n matrix d. Rounding is
-    monotone, so the float test (d_ij - d_ik) + margin > 0 is monotone in
+    other-class k, reading anchor rows of the n x n matrix d. Every entry of d
+    must be >= 0 (a -0.0 counts as +0.0) and margin finite and >= 0. Rounding
+    is monotone, so the float test (d_ij - d_ik) + margin > 0 is monotone in
     d_ik: it holds exactly when d_ik < T_ij, the smallest float q with
-    (d_ij - q) + margin <= 0, found from d_ij + margin by nextafter steps.
-    One lexsort of each anchor row, holding T_ij at same-class columns (T_ii
-    = -inf drops j == i) and d_ik at the others, a threshold before an equal
-    distance, gives both counts as running sums: counts[i, j] is the number
+    (d_ij - q) + margin <= 0, found by one-ulp steps down from
+    fl(d_ij + margin), or from one ulp above it where that sum rounded down.
+    One argsort of each anchor row sorts packed uint64 keys: the bits of the
+    non-negative float, T_ij at same-class columns and d_ik at the others,
+    shifted left one place, so their integer order is the float order, with
+    a low bit of 1 at other-class columns, so a threshold sorts before an
+    equal distance, and a key of 0 at j == i, so no negative lies below it.
+    The counts are running sums over that order: counts[i, j] is the number
     of negatives below T_ij, counts[i, k] minus the number of thresholds
     above d_ik. The counts are exact; the adjoint is the upstream gradient
     times counts. The value is <counts, d> + margin * (active triples), so
@@ -481,28 +486,38 @@ def triplet_hinge(d: Value, labels, margin: float) -> Value:
         raise DimensionError(f"triplet_hinge: expected a square matrix and one label "
                              f"per row, got {d.shape} and {labels.shape}")
     margin = float(margin)
-    if not np.isfinite(margin):
-        raise ConfigError(f"triplet_hinge: margin must be finite, got {margin}")
+    if not 0.0 <= margin < np.inf:
+        raise ConfigError(f"triplet_hinge: margin must be finite and >= 0, got {margin}")
+    dv = d.value
+    if dv.size and not dv.min() >= 0.0:
+        i, j = np.argwhere(~(dv >= 0.0))[0]
+        raise DomainError(f"triplet_hinge: negative or NaN entry {dv[i, j]!r} at ({i}, {j})")
     same = labels[:, None] == labels
-    pos = d.value[same]
-    t = np.nextafter(pos + margin, np.inf)   # above pos + margin, so inactive
+    other = ~same
+    pos = dv[same]
+    t = pos + margin
+    # T_ij is stepped on t's bits: t >= 0, so a step of 1 is one ulp, and
+    # below +0.0 the bits wrap to a NaN, which never passes the test
+    bits = t.view(np.uint64)
+    bits += (pos - t) + margin > 0.0   # t rounded down and is active; one ulp up never is
     while True:
-        below = np.nextafter(t, -np.inf)
-        down = (pos - below) + margin <= 0.0
+        down = (pos - (bits - 1).view(np.float64)) + margin <= 0.0
         if not down.any():
             break
-        t = np.where(down, below, t)
-    keys = d.value.copy()
-    keys[same] = t
-    np.fill_diagonal(keys, -np.inf)   # j == i: no negative lies below it
-    order = np.lexsort((~same, keys), axis=1)   # a threshold before an equal distance
-    is_neg = labels[order] != labels[:, None]
+        bits -= down
+    keys = dv.view(np.uint64) << 1   # drops the sign bit: -0.0 keys as +0.0
+    keys |= other
+    keys[same] = bits << 1
+    np.fill_diagonal(keys, 0)
+    order = np.argsort(keys, axis=1)
+    order += n * np.arange(n)[:, None]   # flat indices
+    is_neg = other.take(order)
     negs_before = np.cumsum(is_neg, axis=1)
     thresholds_after = np.count_nonzero(same, axis=1)[:, None] - np.arange(1, n + 1) + negs_before
     counts = np.empty((n, n))
-    np.put_along_axis(counts, order, np.where(is_neg, -thresholds_after, negs_before), axis=1)
+    counts.ravel()[order] = np.where(is_neg, -thresholds_after, negs_before)
     # each active triple adds +1 at (i, j) and -1 at (i, k)
-    total = np.vdot(counts, d.value) + margin * (np.abs(counts).sum() / 2)
+    total = np.vdot(counts, dv) + margin * (np.abs(counts).sum() / 2)
 
     def backward(g):
         _accumulate(d, g[0, 0] * counts, owned=True)

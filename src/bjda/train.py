@@ -308,12 +308,14 @@ class BatchConstants:
 
 def batch_constants(cfg: TrainConfig, g_s: Value, probs_s: Value, probs_t: Value,
                     labels_s: np.ndarray, protos: Prototypes) -> BatchConstants:
-    """Refresh the prototypes from the source batch and freeze the constants.
+    """Refresh the prototypes from the source batch, where l_dmc reads them,
+    and freeze the constants.
 
     The margin rows take the kept target rows only when at least two passed
     the gate; otherwise they are the source rows alone.
     """
-    protos.update(g_s.value, labels_s)
+    if _VARIANT_TERMS[cfg.variant][1] == "dmc" and cfg.lambda2 > 0.0:
+        protos.update(g_s.value, labels_s)
     pseudo, conf = hard_pseudo_labels(probs_t.value)
     keep = (np.flatnonzero(conf > cfg.confidence_threshold) if cfg.pl
             else np.arange(conf.shape[0]))

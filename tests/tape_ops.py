@@ -1,6 +1,8 @@
 """Tape ops that training does not record, with autodiff's former values and
 adjoints, for the tests' composed oracles (kbw_sq_reference,
-l_dmc_with_masks, l_cls_reference) and tape checks."""
+l_dmc_with_masks, l_cls_reference) and tape checks, and autodiff's former
+lexsort formulation of triplet_hinge, a bitwise oracle for the packed-key
+one."""
 import numpy as np
 
 from bjda.autodiff import Value, _accumulate, _join
@@ -64,3 +66,32 @@ def transpose(a: Value) -> Value:
         _accumulate(a, g.T)
 
     return a.tape._record(a.value.T.copy(), backward, a)
+
+
+def triplet_hinge_lexsort(d: Value, labels, margin: float) -> Value:
+    """triplet_hinge with its thresholds found from one ulp above d_ij + margin
+    and each anchor row ordered by a two-key lexsort: the float keys first,
+    then ~same, so a threshold sorts before an equal distance."""
+    n = d.shape[0]
+    labels = np.asarray(labels)
+    margin = float(margin)
+    same = labels[:, None] == labels
+    pos = d.value[same]
+    t = np.nextafter(pos + margin, np.inf)   # above pos + margin, so inactive
+    while True:
+        below = np.nextafter(t, -np.inf)
+        down = (pos - below) + margin <= 0.0
+        if not down.any():
+            break
+        t = np.where(down, below, t)
+    keys = d.value.copy()
+    keys[same] = t
+    np.fill_diagonal(keys, -np.inf)   # j == i: no negative lies below it
+    order = np.lexsort((~same, keys), axis=1)
+    is_neg = labels[order] != labels[:, None]
+    negs_before = np.cumsum(is_neg, axis=1)
+    thresholds_after = np.count_nonzero(same, axis=1)[:, None] - np.arange(1, n + 1) + negs_before
+    counts = np.empty((n, n))
+    np.put_along_axis(counts, order, np.where(is_neg, -thresholds_after, negs_before), axis=1)
+    total = np.vdot(counts, d.value) + margin * (np.abs(counts).sum() / 2)
+    return _unary(d, np.array([[total]]), lambda g: g[0, 0] * counts)

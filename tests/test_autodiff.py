@@ -3,6 +3,7 @@ import gc
 import json
 import tracemalloc
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -480,7 +481,7 @@ def scalarized(build):
                                               t.leaf(np.ones((3, 3)))).sum()),
 ])
 def test_gradient_matches_finite_differences(name, build):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     x = rng.uniform(-1.0, 1.0, size=(3, 4))
     if name == "sqdist_self":
         x = rng.uniform(-1.0, 1.0, size=(3, 2))
@@ -578,11 +579,40 @@ def test_triplet_hinge_records_one_node_and_checks_shapes():
         ad.triplet_hinge(tape.leaf(np.zeros((3, 2))), np.array([0, 1, 1]), 1.0)
 
 
-@pytest.mark.parametrize("margin", [np.nan, np.inf])
+@pytest.mark.parametrize("margin", [np.nan, np.inf, -np.inf, -1.0, -5e-324])
 def test_triplet_hinge_rejects_a_non_finite_margin(margin):
     leaf = Tape().leaf(np.zeros((3, 3)))
-    with pytest.raises(ConfigError, match="finite"):
+    with pytest.raises(ConfigError, match="finite and >= 0"):
         ad.triplet_hinge(leaf, np.array([0, 1, 1]), margin)
+
+
+@pytest.mark.parametrize("entry", [-1.0, -5e-324, -np.inf, np.nan])
+def test_triplet_hinge_rejects_a_negative_distance_at_its_place(entry):
+    d = np.ones((3, 3))
+    d[1, 2] = entry
+    leaf = Tape().leaf(d, copy=False)
+    with pytest.raises(DomainError, match=r"at \(1, 2\)"):
+        ad.triplet_hinge(leaf, np.array([0, 1, 1]), 1.0)
+
+
+@pytest.mark.parametrize("margin", [0.0, -0.0, 1.0])
+def test_triplet_hinge_counts_a_negative_zero_distance_as_positive_zero(margin):
+    # coincident points in three classes, with every zero distance's sign set
+    rng = np.random.default_rng(4)
+    points = rng.integers(0, 3, size=(40, 1)).astype(float)
+    labels = rng.integers(0, 3, size=40)
+    d = distances(points)
+    signed = np.where((d == 0.0) & (rng.random(d.shape) < 0.5), -0.0, d)
+    assert np.signbit(signed).any()
+    runs = []
+    for entries in (d, signed):
+        tape = Tape()
+        leaf = tape.leaf(entries)
+        out = ad.triplet_hinge(leaf, labels, margin)
+        tape.backward(out)
+        runs.append((out.value.tobytes(), leaf.grad.tobytes()))
+    assert runs[0] == runs[1]
+    check_triplet_hinge(signed, labels, margin)
 
 
 @pytest.mark.parametrize("margin", [0.0, 1.0])
@@ -708,6 +738,39 @@ def triplet_batches(draw):
 @given(triplet_batches())
 def test_triplet_hinge_property_matches_triple_loop(batch):
     check_triplet_hinge(*batch)
+
+
+@st.composite
+def tied_triplet_batches(draw):
+    """Up to 128 rows on an integer grid, so distances tie, points coincide
+    and, at margin 0, negatives sit exactly on thresholds; one class, or
+    several with one-member classes among them."""
+    n = draw(st.integers(1, 128))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    classes = draw(st.integers(1, 5))
+    labels = rng.integers(0, classes, size=n)
+    for row in range(draw(st.integers(0, 2))):   # one-member classes
+        labels[min(row, n - 1)] = classes + row
+    span = draw(st.integers(0, 6))
+    points = rng.integers(0, span + 1, size=(n, draw(st.integers(1, 3)))).astype(float)
+    if draw(st.booleans()):
+        points = points * draw(st.floats(0.01, 3.0))
+    margin = draw(st.sampled_from([0.0, 0.0, 1e-17, 0.1, 0.25, 1.0, 2.5]))
+    return distances(points), labels, margin
+
+
+def hinge_bytes(op, d, labels, margin):
+    tape = Tape()
+    leaf = tape.leaf(d)
+    out = op(leaf, labels, margin)
+    tape.backward(out)
+    return out.value.tobytes(), leaf.grad.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tied_triplet_batches())
+def test_triplet_hinge_property_matches_the_lexsort_bit_for_bit(batch):
+    assert hinge_bytes(ad.triplet_hinge, *batch) == hinge_bytes(ops.triplet_hinge_lexsort, *batch)
 
 
 # ---------------------------------------------------------------------------

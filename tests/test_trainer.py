@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from bjda import autodiff as ad
+from bjda import train as train_module
 from bjda.autodiff import Tape
 from bjda.data import Dataset, SynthSpec, gen_rotated_blobs
 from bjda.errors import ConfigError, InputError, NumericalError
-from bjda.losses import one_hot
+from bjda.losses import Prototypes, one_hot
 from bjda.model import (LEAKY_SLOPE, PARAM_NAMES, ModelDims, forward_f, forward_g,
                         hard_pseudo_labels, init_xavier, load_checkpoint, make_leaves,
                         predict_probs, save_checkpoint)
@@ -238,6 +239,41 @@ def test_variant_loss_slots():
 
     _, m = train(source, target, replace(short, variant="wd"))
     assert m.records[0].breakdown.l_da > 0.0
+
+
+@pytest.mark.parametrize("variant, lambda2, refreshes", [
+    ("full", 0.3, True), ("no_da", 0.3, True), ("wd", 0.3, True), ("full", 0.0, False),
+    ("no_dmc", 0.3, False), ("triplet", 0.3, False), ("source_only", 0.3, False)])
+def test_prototypes_refresh_only_where_l_dmc_reads_them(monkeypatch, variant, lambda2,
+                                                        refreshes):
+    from dataclasses import replace
+    source, target = small_pair()
+    cfg = replace(BASE, variant=variant, lambda2=lambda2, t_max=6, proto_mode="ema")
+    calls = []
+    update = Prototypes.update
+
+    def counted(self, features, labels):
+        calls.append(labels)
+        update(self, features, labels)
+
+    monkeypatch.setattr(Prototypes, "update", counted)
+    run = _run_bytes(train(source, target, cfg))
+    assert len(calls) == (cfg.t_max if refreshes else 0)
+
+    # a run that refreshes them every step has the same bytes
+    constants = train_module.batch_constants
+
+    def every_step(cfg, g_s, probs_s, probs_t, labels_s, protos):
+        before = len(calls)
+        const = constants(cfg, g_s, probs_s, probs_t, labels_s, protos)
+        if len(calls) == before:
+            protos.update(g_s.value, labels_s)
+        return const
+
+    monkeypatch.setattr(train_module, "batch_constants", every_step)
+    calls.clear()
+    assert _run_bytes(train(source, target, cfg)) == run
+    assert len(calls) == cfg.t_max
 
 
 def test_metrics_jsonl_shape_and_eval_cadence():
