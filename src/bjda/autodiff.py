@@ -8,6 +8,13 @@ exact reverse creation order, passing each node its own grad. There is no
 graph pruning and no topological sort: reverse tape order is already a
 valid evaluation order, and it keeps replays bitwise deterministic.
 
+The ops here are the ones training records: matmul and matmul_pair, add,
+scale, leaky_relu, softmax_rows, the row gather take, add_rowvec, vstack and
+nuclear_norm. The losses record nodes of their own, whose adjoints replay
+the composed ops' adjoints on plain arrays such as pairwise_sqdist_matrix:
+kernels.kbw_sq its cross-Gram and combine nodes around a nuclear_norm, and
+l_cls, l_dmc, l_trip and train's wd term one node each.
+
 Grad buffers are lazy: a node has none until the first adjoint reaches it,
 the first write stores 0.0 + delta (so -0.0 becomes +0.0, as in a
 zero-filled buffer), and backward skips every node without one. .grad
@@ -44,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DomainError, InputError, NumericalError
+from .errors import ConfigError, DimensionError, InputError, NumericalError
 
 # Singular values at or below EPS_RANK * sigma_max are treated as zero when
 # forming the nuclear-norm subgradient U_r V_r^T.
@@ -99,12 +106,6 @@ class Value:
         return float(self.value[0, 0])
 
     # -- method/operator sugar over the module-level ops --------------------
-
-    def sqrt(self) -> "Value":
-        return sqrt(self)
-
-    def sum(self) -> "Value":
-        return sum_all(self)
 
     def __matmul__(self, other: "Value") -> "Value":
         return matmul(self, other)
@@ -310,21 +311,6 @@ def scale(a: Value, s: float) -> Value:
     return a.tape._record(a.value * s, backward, a)
 
 
-def sqrt(a: Value) -> Value:
-    """Elementwise square root; zero entries get subgradient 0."""
-    if a.value.size and np.min(a.value) < 0.0:
-        i, j = np.argwhere(a.value < 0.0)[0]
-        raise DomainError(f"sqrt: negative entry {a.value[i, j]!r} at ({i}, {j})")
-    root = np.sqrt(a.value)
-
-    def backward(g):
-        with np.errstate(divide="ignore"):
-            factor = np.where(a.value > 0.0, 0.5 / root, 0.0)
-        _accumulate(a, g * factor, owned=True)
-
-    return a.tape._record(root, backward, a)
-
-
 def leaky_relu_array(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
     """x for x > 0, slope * x otherwise, as max(x, slope * x) with no masked
     select, written into out, or else into slope * x's buffer. For +0.0 <=
@@ -356,8 +342,8 @@ def softmax_rows_array(x: np.ndarray) -> np.ndarray:
 
 
 def pairwise_sqdist_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Plain-array value of pairwise_sqdist: |a_i|^2 + |b_j|^2 - 2 a_i . b_j,
-    clamped at zero against round-off."""
+    """All squared Euclidean distances between rows of a and rows of b,
+    |a_i|^2 + |b_j|^2 - 2 a_i . b_j, clamped at zero against round-off."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape[1] != b.shape[1]:
@@ -379,36 +365,23 @@ def softmax_rows(a: Value) -> Value:
     return a.tape._record(s, backward, a)
 
 
-def sum_all(a: Value) -> Value:
-    """Sum of all entries, as a 1x1 matrix."""
-
-    def backward(g):
-        _accumulate(a, np.full(a.shape, g[0, 0]), owned=True)
-
-    return a.tape._record(np.array([[a.value.sum()]]), backward, a)
-
-
-def take(a: Value, rows, cols=None) -> Value:
-    """The rows a[rows], or with cols the entries a[rows[k], cols[k]] as a column.
-
-    The indices are constants. The adjoint scatters the upstream gradient
-    back with np.add.at, so a repeated index accumulates every pick.
+def take(a: Value, rows) -> Value:
+    """The rows a[rows]. The indices are constants. The adjoint scatters the
+    upstream gradient back with np.add.at, so a repeated row accumulates
+    every pick.
     """
     rows = np.asarray(rows, dtype=np.intp)
-    index = rows if cols is None else (rows, np.asarray(cols, dtype=np.intp))
-    if rows.ndim != 1 or (cols is not None and index[1].shape != rows.shape):
-        raise DimensionError(f"take: expected one 1-D index array per axis, got rows "
-                             f"{rows.shape} and cols {None if cols is None else index[1].shape}")
-    picked = a.value[index]
+    if rows.ndim != 1:
+        raise DimensionError(f"take: expected a 1-D row index, got shape {rows.shape}")
 
     def backward(g):
         if a.constant:
             return
         if a._grad is None:
             a._grad = np.zeros_like(a.value)
-        np.add.at(a._grad, index, g if cols is None else g[:, 0])
+        np.add.at(a._grad, rows, g)
 
-    return a.tape._record(picked if cols is None else picked.reshape(-1, 1), backward, a)
+    return a.tape._record(a.value[rows], backward, a)
 
 
 def add_rowvec(a: Value, b: Value) -> Value:
@@ -437,92 +410,6 @@ def vstack(a: Value, b: Value) -> Value:
         _accumulate(b, g[n:])
 
     return tape._record(np.vstack([a.value, b.value]), backward, a, b)
-
-
-def pairwise_sqdist(a: Value, b: Value) -> Value:
-    """All squared Euclidean distances between rows of a and rows of b.
-
-    out[i, j] = |a_i - b_j|^2, computed by pairwise_sqdist_matrix.
-    """
-    tape = _join(a, b)
-    av, bv = a.value, b.value
-    sq = pairwise_sqdist_matrix(av, bv)
-
-    def backward(g):
-        if not a.constant:
-            _accumulate(a, 2.0 * (g.sum(axis=1, keepdims=True) * av - g @ bv), owned=True)
-        if not b.constant:
-            _accumulate(b, 2.0 * (g.sum(axis=0)[:, None] * bv - g.T @ av), owned=True)
-
-    return tape._record(sq, backward, a, b)
-
-
-def triplet_hinge(d: Value, labels, margin: float) -> Value:
-    """Batch-all triplet hinge sum, as a 1x1 matrix.
-
-    Sums max{d_ij - d_ik + margin, 0} over anchors i, same-class j != i and
-    other-class k, reading anchor rows of the n x n matrix d. Every entry of d
-    must be >= 0 (a -0.0 counts as +0.0) and margin finite and >= 0. Rounding
-    is monotone, so the float test (d_ij - d_ik) + margin > 0 is monotone in
-    d_ik: it holds exactly when d_ik < T_ij, the smallest float q with
-    (d_ij - q) + margin <= 0, found by one-ulp steps down from
-    fl(d_ij + margin), or from one ulp above it where that sum rounded down.
-    One argsort of each anchor row sorts packed uint64 keys: the bits of the
-    non-negative float, T_ij at same-class columns and d_ik at the others,
-    shifted left one place, so their integer order is the float order, with
-    a low bit of 1 at other-class columns, so a threshold sorts before an
-    equal distance, and a key of 0 at j == i, so no negative lies below it.
-    The counts are running sums over that order: counts[i, j] is the number
-    of negatives below T_ij, counts[i, k] minus the number of thresholds
-    above d_ik. The counts are exact; the adjoint is the upstream gradient
-    times counts. The value is <counts, d> + margin * (active triples), so
-    it rounds like that dot product: its error scales with sum |counts * d|,
-    not with the hinge sum, and hinges tiny against the distances can lose
-    every digit of the value. O(n^2 log n) time, O(n^2) memory.
-    """
-    n = d.shape[0]
-    labels = np.asarray(labels)
-    if d.shape != (n, n) or labels.shape != (n,):
-        raise DimensionError(f"triplet_hinge: expected a square matrix and one label "
-                             f"per row, got {d.shape} and {labels.shape}")
-    margin = float(margin)
-    if not 0.0 <= margin < np.inf:
-        raise ConfigError(f"triplet_hinge: margin must be finite and >= 0, got {margin}")
-    dv = d.value
-    if dv.size and not dv.min() >= 0.0:
-        i, j = np.argwhere(~(dv >= 0.0))[0]
-        raise DomainError(f"triplet_hinge: negative or NaN entry {dv[i, j]!r} at ({i}, {j})")
-    same = labels[:, None] == labels
-    other = ~same
-    pos = dv[same]
-    t = pos + margin
-    # T_ij is stepped on t's bits: t >= 0, so a step of 1 is one ulp, and
-    # below +0.0 the bits wrap to a NaN, which never passes the test
-    bits = t.view(np.uint64)
-    bits += (pos - t) + margin > 0.0   # t rounded down and is active; one ulp up never is
-    while True:
-        down = (pos - (bits - 1).view(np.float64)) + margin <= 0.0
-        if not down.any():
-            break
-        bits -= down
-    keys = dv.view(np.uint64) << 1   # drops the sign bit: -0.0 keys as +0.0
-    keys |= other
-    keys[same] = bits << 1
-    np.fill_diagonal(keys, 0)
-    order = np.argsort(keys, axis=1)
-    order += n * np.arange(n)[:, None]   # flat indices
-    is_neg = other.take(order)
-    negs_before = np.cumsum(is_neg, axis=1)
-    thresholds_after = np.count_nonzero(same, axis=1)[:, None] - np.arange(1, n + 1) + negs_before
-    counts = np.empty((n, n))
-    counts.ravel()[order] = np.where(is_neg, -thresholds_after, negs_before)
-    # each active triple adds +1 at (i, j) and -1 at (i, k)
-    total = np.vdot(counts, dv) + margin * (np.abs(counts).sum() / 2)
-
-    def backward(g):
-        _accumulate(d, g[0, 0] * counts, owned=True)
-
-    return d.tape._record(np.array([[total]]), backward, d)
 
 
 def nuclear_norm(a: Value) -> Value:

@@ -17,7 +17,6 @@ import json
 import os
 import pickle
 import signal
-import struct
 import sys
 import threading
 import time
@@ -148,7 +147,7 @@ def _load_pair(first, second, names: tuple[str, str]) -> tuple[Dataset, Dataset]
     while this process parses the first. The process forks only while it
     runs a single thread, since a fork copies no other thread.
 
-    The child sends its Dataset back over a pipe. If it fails in any way,
+    The child pickles its Dataset into a pipe. If it fails in any way,
     the second file is parsed here, so every error, and the order in which
     errors surface, is the serial load's. No child outlives the call.
     """
@@ -160,7 +159,9 @@ def _load_pair(first, second, names: tuple[str, str]) -> tuple[Dataset, Dataset]
         code = 1
         try:
             os.close(read_fd)
-            _send(write_fd, load_csv(second, name=names[1]))
+            dataset = load_csv(second, name=names[1])
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(dataset, pipe, protocol=5)
             code = 0
         finally:
             os._exit(code)  # never return into the parent's stack
@@ -169,8 +170,9 @@ def _load_pair(first, second, names: tuple[str, str]) -> tuple[Dataset, Dataset]
     with open(read_fd, "rb") as pipe:
         try:
             loaded = load_csv(first, name=names[0])
-            with contextlib.suppress(EOFError):  # the child failed; parse here
-                received = _receive(pipe)
+            # a stream cut short means the child failed; parse here
+            with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                received = pickle.load(pipe)
         finally:
             if received is None:
                 os.kill(pid, signal.SIGKILL)
@@ -178,31 +180,6 @@ def _load_pair(first, second, names: tuple[str, str]) -> tuple[Dataset, Dataset]
     if received is None or status != 0:
         received = load_csv(second, name=names[1])
     return loaded, received
-
-
-def _send(fd: int, dataset: Dataset) -> None:
-    """Write dataset to fd as a protocol-5 pickle with its arrays out of
-    band: the part count, each part's size, the pickle, then the arrays."""
-    buffers = []
-    parts = [pickle.dumps(dataset, protocol=5, buffer_callback=buffers.append)]
-    parts += [b.raw() for b in buffers]
-    with open(fd, "wb") as pipe:
-        pipe.write(struct.pack(f"<{len(parts) + 1}Q", len(parts), *map(len, parts)))
-        for part in parts:
-            pipe.write(part)
-
-
-def _receive(pipe) -> Dataset:
-    """Read what _send wrote; the arrays keep the buffers they were read into."""
-    def read(size: int) -> bytearray:
-        data = bytearray(size)
-        if pipe.readinto(data) != size:  # a buffered read stops short only at EOF
-            raise EOFError(f"the child sent less than {size} bytes")
-        return data
-
-    (count,) = struct.unpack("<Q", read(8))
-    head, *arrays = map(read, struct.unpack(f"<{count}Q", read(8 * count)))
-    return pickle.loads(head, buffers=arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +260,9 @@ def cmd_distance(args) -> int:
         sq = kbw_sq(a.features, b.features, spec, tape=None)
         print(f"{np.sqrt(sq.item()):.12f} (kbw distance, {spec.kind} kernel)")
     elif args.kind == "bures":
+        for data in (a, b):
+            if len(data) == 0:
+                raise InputError(f"bures: dataset {data.name!r} has no rows")
         d = closed_form_bures(_covariance(a.features), _covariance(b.features))
         print(f"{d:.12f} (bures distance between feature covariances)")
     else:

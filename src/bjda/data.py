@@ -177,6 +177,9 @@ class SynthSpec:
             raise ConfigError(f"synth: shift_angle must lie in [0, 360), got {self.shift_angle}")
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise ConfigError(f"synth: noise_sigma must be >= 0, got {self.noise_sigma}")
+        for key in ("projection_seed", "sample_seed"):  # numpy's generators take no negative seed
+            if getattr(self, key) < 0:
+                raise ConfigError(f"synth: {key} must be >= 0, got {getattr(self, key)}")
 
 
 def _blob_coords(spec: SynthSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -19,11 +19,14 @@ with TrainConfig()'s auto bandwidth, end_to_end's max relative error is
 0.154, 0.255 and 0.422 at seeds 0, 1 and 2 (tolerance 1e-3), so training
 does not follow the loss's gradient. The pin stays until sigma is on the tape.
 Instances are searched deterministically until every hinge argument, argmin
-gap, and activation pre-image clears its kink by a safe margin.
+gap, and activation pre-image clears its kink, and the best transport
+assignment its runner-up, by a safe margin.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -35,7 +38,8 @@ from .autodiff import Tape, Value
 from .errors import NumericalError
 from .kernels import KernelSpec, kbw_sq
 from .model import ModelDims, PARAM_NAMES, forward_f, forward_g, init_xavier
-from .train import RunMetrics, TrainConfig, batch_constants, l_da, objective
+from .train import (RunMetrics, TrainConfig, _check_seed, _wd_loss, batch_constants, l_da,
+                    objective)
 
 OP_TOL = 1e-4        # blanket bound every op-level case must meet
 END_TO_END_TOL = 1e-3
@@ -123,12 +127,12 @@ def run_all(seed: int = 0) -> list[CheckResult]:
 
 
 def _weighted(op: Callable[..., Value], weights: np.ndarray):
-    """Contract an op's matrix output to a scalar against fixed weights: its
-    entries gathered into a column, times the weights as one row."""
-    rows, cols = np.indices(weights.shape).reshape(2, -1)
-
+    """Contract an op's matrix output to a scalar against fixed weights: the
+    sum over rows i of output row i times weight row i as a column."""
     def build(tape: Tape, leaves: Sequence[Value]) -> Value:
-        return tape.constant(weights.reshape(1, -1), "w") @ ad.take(op(tape, leaves), rows, cols)
+        out = op(tape, leaves)
+        return functools.reduce(ad.add, [ad.take(out, [i]) @ tape.constant(w[:, None], "w")
+                                         for i, w in enumerate(weights)])
     return build
 
 
@@ -160,24 +164,16 @@ def _op_cases(rng: np.random.Generator) -> list[CheckCase]:
                   _weighted(lambda t, l: ad.scale(l[0], -1.7), rng.standard_normal((3, 3))), 1e-6),
         CheckCase("take_rows", [rng.standard_normal((3, 3))],
                   _weighted(lambda t, l: ad.take(l[0], [2, 0, 2]), rng.standard_normal((3, 3))), 1e-6),
-        CheckCase("sqrt", [rng.uniform(0.4, 2.0, (3, 4))],
-                  _weighted(lambda t, l: l[0].sqrt(), rng.standard_normal((3, 4))), 1e-6),
         CheckCase("leaky_relu", [_away_from(rng, (4, 4), 0.0, 0.1)],
                   _weighted(lambda t, l: ad.leaky_relu(l[0], 0.01), rng.standard_normal((4, 4))), 1e-6),
         CheckCase("softmax_rows", [rng.standard_normal((4, 5))],
                   _weighted(lambda t, l: ad.softmax_rows(l[0]), rng.standard_normal((4, 5))), 1e-6),
-        CheckCase("sum", [rng.standard_normal((4, 3))],
-                  lambda t, l: l[0].sum(), 1e-6),
         CheckCase("add_rowvec", [rng.standard_normal((4, 3)), rng.standard_normal((1, 3))],
                   _weighted(lambda t, l: ad.add_rowvec(l[0], l[1]), rng.standard_normal((4, 3))), 1e-6),
         CheckCase("vstack", [rng.standard_normal((3, 4)), rng.standard_normal((2, 4))],
                   _weighted(lambda t, l: ad.vstack(l[0], l[1]), rng.standard_normal((5, 4))), 1e-6),
-        CheckCase("pairwise_sqdist", [rng.standard_normal((4, 3)), rng.standard_normal((5, 3))],
-                  _weighted(lambda t, l: ad.pairwise_sqdist(l[0], l[1]),
-                            rng.standard_normal((4, 5))), 1e-5),
         CheckCase("nuclear_norm", [_separated_singular_matrix(rng)],
                   lambda t, l: ad.nuclear_norm(l[0]), 1e-4),
-        _triplet_hinge_case(rng),
     ]
 
 
@@ -187,21 +183,6 @@ def _hinge_args(d: np.ndarray, labels: np.ndarray, margin: float) -> np.ndarray:
     pos = same & ~np.eye(labels.size, dtype=bool)
     return np.concatenate([(d[i, pos[i]][:, None] - d[i, ~same[i]][None, :]).ravel()
                            for i in range(labels.size)]) + margin
-
-
-def _triplet_hinge_case(rng: np.random.Generator) -> CheckCase:
-    """Hinge sum on a positive 7x7 matrix, every hinge argument off its kink."""
-    labels = np.array([0, 0, 1, 1, 2, 2, 3])
-    margin = 0.7
-    for attempt in range(500):
-        d = np.random.default_rng([int(rng.integers(2 ** 32)), attempt]).uniform(0.2, 2.0, (7, 7))
-        expr = _hinge_args(d, labels, margin)
-        if np.abs(expr).min() >= 0.1 and (expr > 0).sum() >= 2:
-            break
-    else:
-        raise NumericalError("triplet_hinge gradcheck: no kink-free instance found")
-    return CheckCase("triplet_hinge", [d],
-                     lambda t, l: ad.triplet_hinge(l[0], labels, margin), 1e-6)
 
 
 def _l_cls_case(rng: np.random.Generator) -> CheckCase:
@@ -290,6 +271,30 @@ def _l_trip_case(rng: np.random.Generator) -> CheckCase:
     return CheckCase("l_trip", [g], build, 1e-4)
 
 
+def _wd_case(rng: np.random.Generator) -> CheckCase:
+    """The wd term on 4 + 4 rows, its best assignment cheaper than every
+    other permutation by at least 0.1, so no step of the differences flips it."""
+    n = 4
+    y_s = L.one_hot(np.array([0, 1, 2, 0]), 3)
+    rows = np.arange(n)
+    for attempt in range(500):
+        inst = np.random.default_rng([int(rng.integers(2 ** 32)), attempt])
+        g_s, g_t = inst.normal(0.0, 1.0, (2, n, 2))
+        logits = inst.normal(0.0, 1.0, (n, 3))
+        cost = (ad.pairwise_sqdist_matrix(g_s, g_t)
+                + ad.pairwise_sqdist_matrix(y_s, ad.softmax_rows_array(logits)))
+        totals = np.sort([cost[rows, list(p)].sum() for p in itertools.permutations(rows)])
+        if totals[1] - totals[0] >= 0.1:
+            break
+    else:
+        raise NumericalError("wd gradcheck: no instance with a clear best assignment found")
+
+    def build(tape, leaves):
+        return _wd_loss(leaves[0], leaves[1], y_s, ad.softmax_rows(leaves[2]))
+
+    return CheckCase("wd", [g_s, g_t, logits], build, 1e-4)
+
+
 def _end_to_end_case(rng: np.random.Generator) -> CheckCase:
     """The trainer's objective (variant full, lambda1 0.5, lambda2 0.3)
     against FD in every parameter.
@@ -341,18 +346,17 @@ def _end_to_end_case(rng: np.random.Generator) -> CheckCase:
 
 
 def build_cases(seed: int = 0) -> list[CheckCase]:
+    _check_seed(seed)
     rng = np.random.default_rng([seed, 0xC0FFEE])
     cases = _op_cases(rng)
     cases.append(_l_cls_case(rng))
     cases.append(_l_da_case(rng))
     cases.append(_l_dmc_case(rng))
     cases.append(_l_trip_case(rng))
+    cases.append(_wd_case(rng))
     end_to_end = _end_to_end_case(rng)
     cases += [end_to_end, replace(end_to_end, name="end_to_end_helper", helper=True)]
     # drawn last, so no earlier case's instance depends on them
-    cases.append(CheckCase("take_entries", [rng.standard_normal((4, 5))],
-                           _weighted(lambda t, l: ad.take(l[0], [0, 3, 3, 1, 0], [2, 4, 4, 0, 1]),
-                                     rng.standard_normal((5, 1))), 1e-6))
     for kind, bandwidth_sq, (n, m, d) in (("gaussian", 2.0, (4, 5, 3)), ("linear", None, (5, 6, 2))):
         spec = KernelSpec(kind, bandwidth_sq)
         cases.append(CheckCase(f"kbw_sq_{kind}", [rng.standard_normal((n, d)),

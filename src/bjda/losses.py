@@ -3,11 +3,12 @@ terms, with the prototype state and the weighted total. The alignment terms
 (l_da and the wd transport loss) live in bjda.train, beside the objective
 that combines them with these.
 
-Everything here returns 1x1 tape Values so the trainer can combine terms and
+Each loss returns a 1x1 tape Value so the trainer can combine terms and
 run one backward pass. Quantities the gradient must NOT flow through
 (prediction probabilities used as margins, prototype coordinates, pseudo
 labels) are taken as plain arrays, never tape Values, and held inside the
-loss's node. l_cls and l_dmc record one node each.
+loss's node. l_cls, l_dmc and l_trip record one node each; l_trip's holds
+the counts of triplet_hinge, a plain-array function.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
-from .errors import ConfigError, DimensionError, InputError
+from .errors import ConfigError, DimensionError, DomainError, InputError
 
 PROB_FLOOR = 1e-12
 PROTO_MODES = ("batch", "ema")
@@ -69,6 +70,8 @@ class Prototypes:
         if features.shape != (labels.shape[0], self.feat_dim):
             raise DimensionError(
                 f"prototype update: got features {features.shape} for {labels.shape[0]} labels")
+        if labels.size and (labels.min() < 0 or labels.max() >= self.class_count):
+            raise InputError(f"prototype update: label out of range [0, {self.class_count})")
         if self.mode == "batch":
             self.vectors[:] = 0.0
             self.present[:] = False
@@ -188,6 +191,68 @@ def l_dmc(g: Value, labels: np.ndarray, pred_probs: np.ndarray,
     return tape._record(value, backward, g), skipped
 
 
+def triplet_hinge(d: np.ndarray, labels, margin: float) -> tuple[float, np.ndarray]:
+    """Batch-all triplet hinge sum of an n x n distance matrix d, and its counts.
+
+    Sums max{d_ij - d_ik + margin, 0} over anchors i, same-class j != i and
+    other-class k, reading anchor rows of d. Every entry of d must be >= 0
+    (a -0.0 counts as +0.0) and margin finite and >= 0. Rounding is
+    monotone, so the float test (d_ij - d_ik) + margin > 0 is monotone in
+    d_ik: it holds exactly when d_ik < T_ij, the smallest float q with
+    (d_ij - q) + margin <= 0, found by one-ulp steps down from
+    fl(d_ij + margin), or from one ulp above it where that sum rounded down.
+    One argsort of each anchor row sorts packed uint64 keys: the bits of the
+    non-negative float, T_ij at same-class columns and d_ik at the others,
+    shifted left one place, so their integer order is the float order, with
+    a low bit of 1 at other-class columns, so a threshold sorts before an
+    equal distance, and a key of 0 at j == i, so no negative lies below it.
+    The counts are running sums over that order: counts[i, j] is the number
+    of negatives below T_ij, counts[i, k] minus the number of thresholds
+    above d_ik. The counts are exact, and they are the sum's gradient in d.
+    The sum is <counts, d> + margin * (active triples), so it rounds like
+    that dot product: its error scales with sum |counts * d|, not with the
+    hinge sum, and hinges tiny against the distances can lose every digit of
+    it. O(n^2 log n) time, O(n^2) memory.
+    """
+    n = d.shape[0]
+    labels = np.asarray(labels)
+    if d.shape != (n, n) or labels.shape != (n,):
+        raise DimensionError(f"triplet_hinge: expected a square matrix and one label "
+                             f"per row, got {d.shape} and {labels.shape}")
+    margin = float(margin)
+    if not 0.0 <= margin < np.inf:
+        raise ConfigError(f"triplet_hinge: margin must be finite and >= 0, got {margin}")
+    if d.size and not d.min() >= 0.0:
+        i, j = np.argwhere(~(d >= 0.0))[0]
+        raise DomainError(f"triplet_hinge: negative or NaN entry {d[i, j]!r} at ({i}, {j})")
+    same = labels[:, None] == labels
+    other = ~same
+    pos = d[same]
+    t = pos + margin
+    # T_ij is stepped on t's bits: t >= 0, so a step of 1 is one ulp, and
+    # below +0.0 the bits wrap to a NaN, which never passes the test
+    bits = t.view(np.uint64)
+    bits += (pos - t) + margin > 0.0   # t rounded down and is active; one ulp up never is
+    while True:
+        down = (pos - (bits - 1).view(np.float64)) + margin <= 0.0
+        if not down.any():
+            break
+        bits -= down
+    keys = d.view(np.uint64) << 1   # drops the sign bit: -0.0 keys as +0.0
+    keys |= other
+    keys[same] = bits << 1
+    np.fill_diagonal(keys, 0)
+    order = np.argsort(keys, axis=1)
+    order += n * np.arange(n)[:, None]   # flat indices
+    is_neg = other.take(order)
+    negs_before = np.cumsum(is_neg, axis=1)
+    thresholds_after = np.count_nonzero(same, axis=1)[:, None] - np.arange(1, n + 1) + negs_before
+    counts = np.empty((n, n))
+    counts.ravel()[order] = np.where(is_neg, -thresholds_after, negs_before)
+    # each active triple adds +1 at (i, j) and -1 at (i, k)
+    return np.vdot(counts, d) + margin * (np.abs(counts).sum() / 2), counts
+
+
 def l_trip(g: Value, labels: np.ndarray, margin: float) -> tuple[Value, int]:
     """Batch-all triplet loss over every (anchor, positive, negative) triple.
 
@@ -197,6 +262,11 @@ def l_trip(g: Value, labels: np.ndarray, margin: float) -> tuple[Value, int]:
     over all valid triples, not a per-row mean like l_dmc, so its weight
     against the mean cross-entropy grows with the batch. A batch with fewer
     than two classes contributes 0; the second return flags that case.
+
+    One tape node. Its adjoint replays the hinge's (the upstream gradient
+    times triplet_hinge's counts), the square root's, then the distances'
+    row adjoint into g, the first operand's side and then the second's, each
+    first write + 0.0 included, so it gives the composed form's bits.
     """
     margin = float(margin)
     if not 0.0 <= margin < np.inf:
@@ -207,8 +277,18 @@ def l_trip(g: Value, labels: np.ndarray, margin: float) -> tuple[Value, int]:
         raise DimensionError(f"l_trip: got {n} feature rows for {labels.shape[0]} labels")
     if np.unique(labels).size < 2:
         return g.tape.constant(np.zeros((1, 1)), "l_trip_zero"), 1
-    dist = ad.pairwise_sqdist(g, g).sqrt()
-    return ad.triplet_hinge(dist, labels, margin), 0
+    gv = g.value
+    sq = ad.pairwise_sqdist_matrix(gv, gv)
+    dist = np.sqrt(sq)
+    total, counts = triplet_hinge(dist, labels, margin)
+
+    def backward(grad):
+        with np.errstate(divide="ignore"):
+            d_sq = (grad[0, 0] * counts + 0.0) * np.where(sq > 0.0, 0.5 / dist, 0.0) + 0.0
+        ad._accumulate(g, 2.0 * (d_sq.sum(axis=1, keepdims=True) * gv - d_sq @ gv), owned=True)
+        ad._accumulate(g, 2.0 * (d_sq.sum(axis=0)[:, None] * gv - d_sq.T @ gv), owned=True)
+
+    return g.tape._record(np.array([[total]]), backward, g), 0
 
 
 def total_objective(cls_term: Value, da_term: Value | None, con_term: Value | None,

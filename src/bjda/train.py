@@ -276,17 +276,31 @@ def l_da(g_s: Value, y_s_onehot: np.ndarray, g_t: Value, y_t_soft: Value | None,
 
 
 def _wd_loss(g_s: Value, g_t: Value, y_s_1h: np.ndarray, probs_t: Value) -> Value:
-    """Exact-transport stand-in for the alignment loss.
+    """Exact-transport stand-in for the alignment loss, as one tape node.
 
-    One assignment is solved on the summed values of the feature and label
-    squared-distance nodes; gradients then flow through the matched pairs only.
+    One assignment is solved on the summed feature and label squared-distance
+    matrices; the loss is the mean matched cost, so gradients flow through
+    the matched pairs only. The adjoint replays the composed form's: the
+    scale's, the add's and the sums', the matched entries' scatter into an
+    n x n zero matrix, then the distances' adjoints into probs_t, g_s and
+    g_t, in that order, so it gives the composed form's bits.
     """
-    feat = ad.pairwise_sqdist(g_s, g_t)
-    label = ad.pairwise_sqdist(g_s.tape.constant(y_s_1h, "y_s"), probs_t)
-    cols, _ = optimal_assignment(feat.value + label.value)
+    gs, gt, pt = g_s.value, g_t.value, probs_t.value
+    feat = ad.pairwise_sqdist_matrix(gs, gt)
+    label = ad.pairwise_sqdist_matrix(y_s_1h, pt)
+    cols, _ = optimal_assignment(feat + label)
     rows = np.arange(cols.shape[0])
-    matched = ad.take(feat, rows, cols).sum() + ad.take(label, rows, cols).sum()
-    return ad.scale(matched, 1.0 / rows.shape[0])
+    k = 1.0 / rows.shape[0]
+
+    def backward(grad):
+        d = np.zeros(feat.shape)
+        d[rows, cols] = (grad * k + 0.0)[0, 0]   # distinct pairs: 0.0 + x, as np.add.at
+        ad._accumulate(probs_t, 2.0 * (d.sum(axis=0)[:, None] * pt - d.T @ y_s_1h), owned=True)
+        ad._accumulate(g_s, 2.0 * (d.sum(axis=1, keepdims=True) * gs - d @ gt), owned=True)
+        ad._accumulate(g_t, 2.0 * (d.sum(axis=0)[:, None] * gt - d.T @ gs), owned=True)
+
+    value = (np.array([[feat[rows, cols].sum()]]) + label[rows, cols].sum()) * k
+    return g_s.tape._record(value, backward, g_s, g_t, probs_t)
 
 
 def _kept_rows(value: Value, keep: np.ndarray) -> Value:

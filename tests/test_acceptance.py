@@ -242,5 +242,5 @@ def test_criterion_9_hand_computed_spot_values():
     assert ops.trace(tape.leaf(np.eye(3))).item() == 3.0
     assert ad.nuclear_norm(tape.leaf(np.diag([3.0, -4.0]))).item() == \
            pytest.approx(7.0, abs=1e-12)
-    two = ad.pairwise_sqdist(tape.leaf([[0.0], [2.0]]), tape.leaf([[0.0], [2.0]]))
-    assert np.array_equal(two.value, np.array([[0.0, 4.0], [4.0, 0.0]]))
+    two = ad.pairwise_sqdist_matrix(np.array([[0.0], [2.0]]), np.array([[0.0], [2.0]]))
+    assert np.array_equal(two, np.array([[0.0, 4.0], [4.0, 0.0]]))

@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import json
 import os
+import pickle
 import re
 
 import numpy as np
@@ -384,10 +385,10 @@ def test_forked_pair_load_fails_as_the_serial_load(tmp_path, capsys, monkeypatch
 
 def test_a_child_that_exits_non_zero_after_sending_is_not_trusted(data_dir, forks,
                                                                   monkeypatch):
-    send = cli._send
+    dump = pickle.dump
 
-    def send_then_fail(fd, dataset):
-        send(fd, dataset)
+    def send_then_fail(dataset, pipe, **kwargs):
+        dump(dataset, pipe, **kwargs)
         raise OSError("after the send")
 
     parsed_here = []
@@ -396,7 +397,7 @@ def test_a_child_that_exits_non_zero_after_sending_is_not_trusted(data_dir, fork
         parsed_here.append(path)
         return load_csv(path, **kwargs)
 
-    monkeypatch.setattr(cli, "_send", send_then_fail)
+    monkeypatch.setattr(pickle, "dump", send_then_fail)
     monkeypatch.setattr(cli, "load_csv", load_here)
     paths = (data_dir / "source.csv", data_dir / "target.csv")
     cli._load_pair(*paths, ("source", "target"))
@@ -488,6 +489,15 @@ def test_distance_bures_self_is_exactly_zero(data_dir, capsys):
     assert out == "0.000000000000 (bures distance between feature covariances)"
 
 
+def test_distance_bures_rejects_an_empty_sample_by_name(data_dir, tmp_path, capsys):
+    empty = _write(tmp_path / "empty.csv", "label,f0\n")
+    src = str(data_dir / "source.csv")
+    for argv, name in ((["--a", empty, "--b", src], "a"), (["--a", src, "--b", empty], "b")):
+        assert main(["distance", "--kind", "bures"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: bures: dataset {name!r} has no rows\n"
+
+
 def test_distance_ot_unequal_sizes_exits_2(tmp_path, capsys):
     a = _write(tmp_path / "a.csv", "label,f0\n0,0\n0,1\n")
     b = _write(tmp_path / "b.csv", "label,f0\n0,1\n")
@@ -500,8 +510,8 @@ def test_distance_ot_unequal_sizes_exits_2(tmp_path, capsys):
 def test_gradcheck_passes_and_lists_every_case(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
-    assert "all 22 gradient checks passed" in out
-    for name in ("nuclear_norm", "triplet_hinge", "l_cls", "l_dmc", "l_trip", "end_to_end",
+    assert "all 18 gradient checks passed" in out
+    for name in ("nuclear_norm", "l_cls", "l_dmc", "l_trip", "wd", "end_to_end",
                  "end_to_end_helper"):
         assert re.search(rf"^{name}\s+max rel err", out, re.M)
 
@@ -511,7 +521,8 @@ def test_gradcheck_flags_a_broken_gradient(monkeypatch, capsys):
     # so the analytic gradient is zero while finite differences are not
     def constant_route(seed=0):
         def build(tape, leaves):
-            return tape.leaf(leaves[0].value * 2.0, "detached").sum()
+            detached = tape.leaf(leaves[0].value * 2.0, "detached")
+            return tape.constant(np.ones((1, 2))) @ detached @ tape.constant(np.ones((2, 1)))
         return [CheckCase("broken", [np.ones((2, 2))], build, 1e-4)]
 
     monkeypatch.setattr("bjda.gradcheck.build_cases", constant_route)
@@ -519,6 +530,17 @@ def test_gradcheck_flags_a_broken_gradient(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "1 of 1 checks failed" in out
     assert re.search(r"^broken\s+max rel err .*FAIL", out, re.M)
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--projection-seed", "-1"], ["synth", "--sample-seed", "-1"],
+    ["gradcheck", "--seed", "-1"],
+], ids=["projection seed", "sample seed", "gradcheck seed"])
+def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    out = ["--out", str(tmp_path / "pair")] if argv[0] == "synth" else []
+    assert main(argv + out) == 2
+    assert re.fullmatch(r"error: .*seed must be >= 0, got -1\n", capsys.readouterr().err)
+    assert not (tmp_path / "pair").exists()
 
 
 # ---------------------------------------------------------------- suite

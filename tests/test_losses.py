@@ -26,7 +26,7 @@ from bjda.losses import (
     one_hot,
     total_objective,
 )
-from bjda.train import VARIANTS, TrainConfig, l_da, train
+from bjda.train import VARIANTS, TrainConfig, _wd_loss, l_da, train
 
 
 # ---------------------------------------------------------------- helpers
@@ -136,7 +136,7 @@ def l_cls_reference(pred_probs, y_onehot):
     with the one-hot rows, the sum and the scale by -1/n."""
     logp = ops.log(ops.clamp_min(pred_probs, PROB_FLOOR))
     product = ops.hadamard(logp, pred_probs.tape.constant(y_onehot, "y_onehot"))
-    return ad.scale(product.sum(), -1.0 / pred_probs.shape[0])
+    return ad.scale(ops.sum_all(product), -1.0 / pred_probs.shape[0])
 
 
 @st.composite
@@ -401,7 +401,7 @@ def l_dmc_with_masks(g, labels, pred_probs, protos):
     skipped = int(n - valid.sum())
     if not valid.any():
         return tape.leaf(np.zeros((1, 1)), "l_dmc_zero"), skipped
-    dist = ad.pairwise_sqdist(g, tape.leaf(protos.vectors, "protos")).sqrt()
+    dist = ops.sqrt(ops.pairwise_sqdist(g, tape.leaf(protos.vectors, "protos")))
     neg_idx = np.argmin(np.where(other_present, dist.value, np.inf), axis=1)
     pos_mask = np.zeros((n, c_count))
     neg_mask = np.zeros((n, c_count))
@@ -413,7 +413,7 @@ def l_dmc_with_masks(g, labels, pred_probs, protos):
     d_neg = ops.hadamard(dist, tape.leaf(neg_mask, "neg_mask")) @ ones_c
     margins = (entropy_margins(pred_probs) * valid).reshape(n, 1)
     hinge = ops.clamp_min(ops.sub(d_pos, d_neg) + tape.leaf(margins, "margins"), 0.0)
-    return ad.scale(hinge.sum(), 1.0 / (n - skipped)), skipped
+    return ad.scale(ops.sum_all(hinge), 1.0 / (n - skipped)), skipped
 
 
 @st.composite
@@ -496,7 +496,7 @@ def test_trip_is_always_nonnegative():
 
 
 def test_trip_records_a_fixed_number_of_tape_nodes():
-    # distances, their square roots and one hinge node, whatever the batch
+    # one node, whatever the batch
     added = []
     for n in (6, 128):
         tape = Tape()
@@ -504,7 +504,79 @@ def test_trip_records_a_fixed_number_of_tape_nodes():
         before = len(tape)
         l_trip(g, np.arange(n) % 4, 1.0)
         added.append(len(tape) - before)
-    assert added == [3, 3]
+    assert added == [1, 1]
+
+
+def node_bytes(loss, inputs, *args, upstream, prior):
+    """The bytes of loss's value, of any count it returns beside it, and of
+    each input leaf's gradient after a backward pass from upstream * loss.
+    With prior, prior * (the sum of every leaf's entries) joins the root
+    after the loss, so its gradient reaches the leaves first and the loss's
+    adjoint adds to a buffer that already holds one."""
+    tape = Tape()
+    leaves = [tape.leaf(x, f"in{i}") for i, x in enumerate(inputs)]
+    out = loss(*leaves, *args)
+    value, rest = (out[0], out[1:]) if isinstance(out, tuple) else (out, ())
+    root = ad.scale(value, upstream)
+    if prior is not None:
+        for leaf in leaves:
+            root = root + ad.scale(ops.sum_all(leaf), prior)
+    tape.backward(root)
+    return value.value.tobytes(), rest, [leaf.grad.tobytes() for leaf in leaves]
+
+
+# an upstream or prior weight of either zero flips the sign of zero products
+WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.3]), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def trip_batches(draw):
+    """Points on a small integer grid, so distances tie and rows coincide
+    (a zero distance sits on the square root's kink)."""
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    labels = rng.integers(0, draw(st.integers(1, 4)), size=n)
+    points = rng.integers(-2, 3, size=(n, draw(st.integers(1, 3)))).astype(float)
+    if draw(st.booleans()):
+        points = points * draw(st.floats(0.01, 3.0))
+    margin = draw(st.sampled_from([0.0, 0.25, 1.0, 2.5]))
+    return points, labels, margin, draw(WEIGHTS), draw(st.one_of(st.none(), WEIGHTS))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(trip_batches())
+def test_trip_property_matches_the_composed_form_bit_for_bit(batch):
+    points, labels, margin, upstream, prior = batch
+    assert node_bytes(l_trip, [points], labels, margin, upstream=upstream, prior=prior) == \
+           node_bytes(ops.l_trip_composed, [points], labels, margin, upstream=upstream,
+                      prior=prior)
+
+
+@st.composite
+def wd_batches(draw):
+    """Equal batches on a small integer grid, so transport costs tie."""
+    n, c = draw(st.integers(1, 8)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.integers(1, 3))
+    g_s, g_t = rng.integers(-2, 3, size=(2, n, dim)).astype(float)
+    logits = rng.normal(scale=2.0, size=(n, c))
+    probs_t = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    if draw(st.booleans()):
+        probs_t = one_hot(rng.integers(0, c, size=n), c)   # rows on a label
+    y_s = one_hot(rng.integers(0, c, size=n), c)
+    return [g_s, g_t, probs_t], y_s, draw(WEIGHTS), draw(st.one_of(st.none(), WEIGHTS))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(wd_batches())
+def test_wd_property_matches_the_composed_form_bit_for_bit(batch):
+    inputs, y_s, upstream, prior = batch
+
+    def call(loss):
+        return node_bytes(lambda g_s, g_t, probs_t: loss(g_s, g_t, y_s, probs_t), inputs,
+                          upstream=upstream, prior=prior)
+
+    assert call(_wd_loss) == call(ops.wd_composed)
 
 
 def see_tapes(monkeypatch, seen):
@@ -523,7 +595,7 @@ def test_training_records_a_fixed_number_of_tape_nodes(monkeypatch):
     counts = []
     see_tapes(monkeypatch, lambda tape: counts.append(len(tape)))
     source, target = gen_rotated_blobs(SynthSpec(dim=6, per_class=40, shift_angle=40.0))
-    expected = {"full": 39, "no_dmc": 35, "wd": 40, "triplet": 41, "source_only": 25,
+    expected = {"full": 39, "no_dmc": 35, "wd": 32, "triplet": 39, "source_only": 25,
                 "no_da": 29}
     seen = {}
     for variant in expected:
@@ -670,3 +742,12 @@ def test_prototypes_validate_mode_decay_and_shapes():
     p = Prototypes(2, 3)
     with pytest.raises(DimensionError):
         p.update(np.zeros((2, 2)), np.array([0, 1]))
+
+
+@pytest.mark.parametrize("label", [-1, 3, 7])
+def test_prototypes_reject_a_label_outside_the_class_range(label):
+    # a label of -1 would index the last class and mark it present
+    p = Prototypes(3, 2)
+    with pytest.raises(InputError, match=r"label out of range \[0, 3\)"):
+        p.update(np.ones((2, 2)), np.array([0, label]))
+    assert not p.present.any()
