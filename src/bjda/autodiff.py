@@ -8,12 +8,12 @@ exact reverse creation order, passing each node its own grad. There is no
 graph pruning and no topological sort: reverse tape order is already a
 valid evaluation order, and it keeps replays bitwise deterministic.
 
-The ops here are the ones training records: matmul and matmul_pair, add,
-scale, leaky_relu, softmax_rows, the row gather take, add_rowvec, vstack and
-nuclear_norm. The losses record nodes of their own, whose adjoints replay
-the composed ops' adjoints on plain arrays such as pairwise_sqdist_matrix:
-kernels.kbw_sq its cross-Gram and combine nodes around a nuclear_norm, and
-l_cls, l_dmc, l_trip and train's wd term one node each.
+The ops here are the ones training records between its own nodes: add, the
+row gather take and vstack. Every other node lives beside its arithmetic,
+and its adjoint replays the composed ops' adjoints on plain arrays in their
+tape order, so it gives their bits: model.dense (a layer or the head),
+kernels.kbw_sq (around nuclear_norm, a plain-array function here),
+losses.l_cls, l_dmc, l_trip and total_objective, and train's wd term.
 
 Grad buffers are lazy: a node has none until the first adjoint reaches it,
 the first write stores 0.0 + delta (so -0.0 becomes +0.0, as in a
@@ -30,18 +30,17 @@ node list, so it is freed by reference counting once the caller lets go of
 it, and every node drops its adjoint rule, whose closure holds the op's
 operands, so a node the caller keeps does not hold the graph below it.
 Values and grads stay readable. A second backward raises InputError.
-Inference needs no tape at all: model.forward_probs repeats the tape ops'
+Inference needs no tape at all: model.forward_probs repeats the layers'
 forward arithmetic on plain arrays (it shares leaky_relu_array and
-softmax_rows_array with leaky_relu and softmax_rows), so it gives the same
-bits.
+softmax_rows_array with them), so it gives the same bits.
 
 A tape may carry a Helper, one worker thread beside the caller's. both()
 runs two independent whole computations at once on it, the second on the
 worker, when their work reaches the helper's floor; offloads() is that rule,
-in one place. matmul_pair uses it for two products of one weight, and
-matmul's adjoint for dA and dB. Each result is the product the caller would
-have computed alone, and adjoints still accumulate in tape order, so a tape
-with a helper gives the same bits as one without.
+in one place. The model's layers use it for the two batches' products of
+one weight and for a layer's two adjoint products. Each result is the
+product the caller would have computed alone, and adjoints still accumulate
+in tape order, so a tape with a helper gives the same bits as one without.
 """
 from __future__ import annotations
 
@@ -51,11 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, InputError, NumericalError
-
-# Singular values at or below EPS_RANK * sigma_max are treated as zero when
-# forming the nuclear-norm subgradient U_r V_r^T.
-EPS_RANK = 1e-8
+from .errors import DimensionError, InputError, NumericalError
 
 # Work, in multiply-adds, below which both() keeps a job on the calling
 # thread. On 2 vCPUs with 1 BLAS thread one submit-and-wait round trip to the
@@ -104,11 +99,6 @@ class Value:
         if self.value.shape != (1, 1):
             raise DimensionError(f"item: expected a 1x1 value, got {self.shape}")
         return float(self.value[0, 0])
-
-    # -- method/operator sugar over the module-level ops --------------------
-
-    def __matmul__(self, other: "Value") -> "Value":
-        return matmul(self, other)
 
     def __add__(self, other: "Value") -> "Value":
         return add(self, other)
@@ -166,7 +156,7 @@ def both(helper: Helper | None, work: int, first: Callable, second: Callable) ->
 
 class Tape:
     """Append-only record of Values; owns backward traversal. helper, when
-    given, lets matmul_pair and matmul's adjoint run two products at once."""
+    given, is the worker the nodes recorded on it may hand work with both()."""
 
     def __init__(self, helper: Helper | None = None):
         self._nodes: list[Value] = []
@@ -251,44 +241,6 @@ def _accumulate(node: Value, delta: np.ndarray, owned: bool = False) -> None:
 # operations: each records its value and backward(g) with tape._record
 
 
-def _madds(a: Value, b: Value) -> int:
-    """The multiply-adds of a @ b, once the operands pass matmul's checks."""
-    _join(a, b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    return a.shape[0] * a.shape[1] * b.shape[1]
-
-
-def _record_matmul(a: Value, b: Value, work: int, value: np.ndarray) -> Value:
-    def backward(g):
-        if a.constant:
-            _accumulate(b, a.value.T @ g, owned=True)
-        elif b.constant:
-            _accumulate(a, g @ b.value.T, owned=True)
-        else:
-            da, db = both(a.tape.helper, work, lambda: g @ b.value.T, lambda: a.value.T @ g)
-            _accumulate(a, da, owned=True)
-            _accumulate(b, db, owned=True)
-
-    return a.tape._record(value, backward, a, b)
-
-
-def matmul(a: Value, b: Value) -> Value:
-    """Matrix product. Adjoints: dA = g B^T, dB = A^T g; when both are
-    wanted, the tape's helper computes dB while the caller computes dA."""
-    work = _madds(a, b)
-    return _record_matmul(a, b, work, a.value @ b.value)
-
-
-def matmul_pair(a: Value, c: Value, b: Value) -> tuple[Value, Value]:
-    """matmul(a, b) and matmul(c, b), recorded in that order; the tape's
-    helper computes c @ b while the caller computes a @ b."""
-    work_a, work_c = _madds(a, b), _madds(c, b)
-    ab, cb = both(b.tape.helper, min(work_a, work_c),
-                  lambda: a.value @ b.value, lambda: c.value @ b.value)
-    return _record_matmul(a, b, work_a, ab), _record_matmul(c, b, work_c, cb)
-
-
 def add(a: Value, b: Value) -> Value:
     tape = _join(a, b)
     if a.shape != b.shape:
@@ -301,16 +253,6 @@ def add(a: Value, b: Value) -> Value:
     return tape._record(a.value + b.value, backward, a, b)
 
 
-def scale(a: Value, s: float) -> Value:
-    """Multiply every entry by the constant s."""
-    s = float(s)
-
-    def backward(g):
-        _accumulate(a, g * s, owned=True)
-
-    return a.tape._record(a.value * s, backward, a)
-
-
 def leaky_relu_array(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
     """x for x > 0, slope * x otherwise, as max(x, slope * x) with no masked
     select, written into out, or else into slope * x's buffer. For +0.0 <=
@@ -318,21 +260,6 @@ def leaky_relu_array(x: np.ndarray, slope: float, out: np.ndarray | None = None)
     included: slope * x has x's sign and lies between 0 and x."""
     sx = np.multiply(x, slope)
     return np.maximum(x, sx, out=sx if out is None else out)
-
-
-def leaky_relu(a: Value, slope: float = 0.01) -> Value:
-    """x for x > 0, slope * x otherwise; slope must lie in [0, 1]."""
-    slope = float(slope) + 0.0  # a slope of -0.0 becomes +0.0
-    if not 0.0 <= slope <= 1.0:
-        raise ConfigError(f"leaky_relu: slope must lie in [0, 1], got {slope}")
-
-    def backward(g):
-        # the factor, 1 where a > 0 and slope elsewhere, as max(a > 0, slope)
-        f = (a.value > 0.0).astype(np.float64)
-        np.maximum(f, slope, out=f)
-        _accumulate(a, np.multiply(g, f, out=f), owned=True)
-
-    return a.tape._record(leaky_relu_array(a.value, slope), backward, a)
 
 
 def softmax_rows_array(x: np.ndarray) -> np.ndarray:
@@ -351,18 +278,6 @@ def pairwise_sqdist_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sq = (a * a).sum(axis=1, keepdims=True) + (b * b).sum(axis=1) - 2.0 * (a @ b.T)
     np.maximum(sq, 0.0, out=sq)
     return sq
-
-
-def softmax_rows(a: Value) -> Value:
-    """Row-wise softmax, computed with the usual max-shift for stability."""
-    s = softmax_rows_array(a.value)
-
-    def backward(g):
-        # ds_ij/da_ik = s_ij (delta_jk - s_ik)
-        inner = (g * s).sum(axis=1, keepdims=True)
-        _accumulate(a, s * (g - inner), owned=True)
-
-    return a.tape._record(s, backward, a)
 
 
 def take(a: Value, rows) -> Value:
@@ -384,20 +299,6 @@ def take(a: Value, rows) -> Value:
     return a.tape._record(a.value[rows], backward, a)
 
 
-def add_rowvec(a: Value, b: Value) -> Value:
-    """Add the 1 x m row vector b to every row of the n x m matrix a."""
-    tape = _join(a, b)
-    if b.shape[0] != 1 or b.shape[1] != a.shape[1]:
-        raise DimensionError(f"add_rowvec: expected (1, {a.shape[1]}) row, got {b.shape}")
-
-    def backward(g):
-        _accumulate(a, g)
-        if not b.constant:
-            _accumulate(b, g.sum(axis=0, keepdims=True), owned=True)
-
-    return tape._record(a.value + b.value, backward, a, b)
-
-
 def vstack(a: Value, b: Value) -> Value:
     """Stack rows of a on top of rows of b."""
     tape = _join(a, b)
@@ -412,24 +313,14 @@ def vstack(a: Value, b: Value) -> Value:
     return tape._record(np.vstack([a.value, b.value]), backward, a, b)
 
 
-def nuclear_norm(a: Value) -> Value:
-    """Sum of singular values, as a 1x1 matrix.
-
-    The adjoint uses the subgradient U_r V_r^T restricted to singular triplets
-    with sigma > EPS_RANK * sigma_max. Repeated singular values get no special
-    handling; the subgradient is still a valid element of the subdifferential.
-    """
+def nuclear_norm(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The sum of a's singular values, with the factors u, s, vt of its thin
+    SVD, from which a caller forms a subgradient. A LAPACK failure to
+    converge raises NumericalError."""
     try:
-        u, s, vt = np.linalg.svd(a.value, full_matrices=False)
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as err:
         raise NumericalError(
             f"nuclear_norm: SVD failed to converge for {a.shape} matrix "
             f"within the LAPACK iteration limit ({err})") from err
-
-    def backward(g):
-        if s.size == 0 or s[0] <= 0.0:
-            return  # zero matrix: subgradient 0
-        keep = s > EPS_RANK * s[0]
-        _accumulate(a, g[0, 0] * (u[:, keep] @ vt[keep, :]), owned=True)
-
-    return a.tape._record(np.array([[s.sum()]]), backward, a)
+    return s.sum(), u, s, vt

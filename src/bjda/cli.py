@@ -3,7 +3,7 @@
 Subcommands: synth (write a synthetic benchmark pair), train (one run,
 writing metrics.jsonl, model.bin, summary.json), distance (standalone
 distance between two feature CSVs), gradcheck (finite-difference audit of
-the autodiff ops and losses), suite (variant x seed sweep to CSV).
+every tape node training records), suite (variant x seed sweep to CSV).
 
 Exit codes: 0 success, 2 usage or configuration error, 3 file I/O error,
 4 numerical failure.
@@ -256,6 +256,10 @@ def _covariance(x: np.ndarray) -> np.ndarray:
 def cmd_distance(args) -> int:
     a, b = _load_pair(args.a, args.b, ("a", "b"))
     if args.kind == "kbw":
+        for data in (a, b):
+            if len(data) < 2:
+                raise InputError(f"kbw: dataset {data.name!r} has {len(data)} row(s), "
+                                 "kbw_sq needs at least 2")
         spec = KernelSpec(args.kernel, args.bandwidth_sq)
         sq = kbw_sq(a.features, b.features, spec, tape=None)
         print(f"{np.sqrt(sq.item()):.12f} (kbw distance, {spec.kind} kernel)")

@@ -1,10 +1,10 @@
-"""Finite-difference verification of every tape operation and every loss.
+"""Finite-difference verification of every tape node training records.
 
 Each case builds a scalar from leaf inputs, runs one backward pass, and
 compares the accumulated leaf gradients against central differences of the
 same forward construction. The central-difference oracle is independent of
 the tape's adjoint rules: it only calls the scalar forward, perturbing one
-input entry at a time. Non-scalar op outputs are contracted against a fixed
+input entry at a time. Non-scalar node outputs are contracted against a fixed
 random weight matrix so the incoming adjoint is non-uniform. The end-to-end
 case runs the trainer's own objective, with the paired forward_g of a
 training step; end_to_end_helper runs it again on a tape whose helper takes
@@ -15,9 +15,9 @@ the bandwidth (like the margin entropies, prototypes, and pseudo-labels) as
 a per-iteration constant, so the checked function holds them fixed too.
 The pin hides that training's default auto bandwidth, the mean distance of
 the batch's own features, moves with the parameters but takes no gradient:
-with TrainConfig()'s auto bandwidth, end_to_end's max relative error is
-0.154, 0.255 and 0.422 at seeds 0, 1 and 2 (tolerance 1e-3), so training
-does not follow the loss's gradient. The pin stays until sigma is on the tape.
+with TrainConfig()'s auto bandwidth, end_to_end's max relative error exceeds
+END_TO_END_TOL at seeds 0, 1 and 2, so training does not follow the loss's
+gradient. The pin stays until sigma is on the tape.
 Instances are searched deterministically until every hinge argument, argmin
 gap, and activation pre-image clears its kink, and the best transport
 assignment its runner-up, by a safe margin.
@@ -25,7 +25,6 @@ assignment its runner-up, by a safe margin.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -37,13 +36,13 @@ from . import losses as L
 from .autodiff import Tape, Value
 from .errors import NumericalError
 from .kernels import KernelSpec, kbw_sq
-from .model import ModelDims, PARAM_NAMES, forward_f, forward_g, init_xavier
+from .model import ModelDims, PARAM_NAMES, dense, forward_f, forward_g, init_xavier
 from .train import (RunMetrics, TrainConfig, _check_seed, _wd_loss, batch_constants, l_da,
                     objective)
 
-OP_TOL = 1e-4        # blanket bound every op-level case must meet
 END_TO_END_TOL = 1e-3
 FD_STEP = 1e-4
+END_TO_END_CONFIG = TrainConfig(kernel_bandwidth_sq=2.0)   # the pinned bandwidth
 
 
 def central_difference(f: Callable[[np.ndarray], float], x0: np.ndarray,
@@ -127,53 +126,50 @@ def run_all(seed: int = 0) -> list[CheckResult]:
 
 
 def _weighted(op: Callable[..., Value], weights: np.ndarray):
-    """Contract an op's matrix output to a scalar against fixed weights: the
-    sum over rows i of output row i times weight row i as a column."""
+    """Contract an op's matrix output to the scalar <output, weights>, as one
+    node whose adjoint passes the upstream gradient times weights."""
     def build(tape: Tape, leaves: Sequence[Value]) -> Value:
         out = op(tape, leaves)
-        return functools.reduce(ad.add, [ad.take(out, [i]) @ tape.constant(w[:, None], "w")
-                                         for i, w in enumerate(weights)])
+        return tape._record(np.array([[np.vdot(out.value, weights)]]),
+                            lambda g: ad._accumulate(out, g[0, 0] * weights, owned=True), out)
     return build
 
 
-def _away_from(rng: np.random.Generator, shape, pivot: float, margin: float,
-               span: float = 1.0) -> np.ndarray:
-    """Entries at distance [margin, margin + span] from pivot, either side."""
-    sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
-    return pivot + sign * (margin + span * rng.random(shape))
+def _softmax(tape: Tape, logits: Value) -> Value:
+    """Row softmax of logits: the head's node with an identity weight and a zero bias."""
+    c = logits.shape[1]
+    return dense(logits, tape.constant(np.eye(c), "eye"), tape.constant(np.zeros((1, c)), "zero"),
+                 "softmax")
 
 
-def _separated_singular_matrix(rng: np.random.Generator,
-                               shape=(5, 4)) -> np.ndarray:
-    """Random matrix with well-separated singular values (gaps >= 0.3)."""
-    n, m = shape
-    k = min(n, m)
-    u, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    v, _ = np.linalg.qr(rng.standard_normal((m, k)))
-    sigma = 2.0 - 0.4 * np.arange(k)   # 2.0, 1.6, 1.2, ...
-    return (u * sigma) @ v.T
+def _layer_case(rng: np.random.Generator) -> CheckCase:
+    """dense with leaky ReLU, its pre-activations at least 0.1 from the kink."""
+    for attempt in range(500):
+        inst = np.random.default_rng([int(rng.integers(2 ** 32)), attempt])
+        x, w, b = inst.normal(size=(3, 4)), inst.normal(size=(4, 3)), inst.normal(size=(1, 3))
+        if np.abs(x @ w + b).min() >= 0.1:
+            return CheckCase("layer_leaky", [x, w, b], _weighted(
+                lambda t, l: dense(*l, "leaky"), rng.standard_normal((3, 3))), 1e-6)
+    raise NumericalError("layer gradcheck: no kink-free instance found")
 
 
-def _op_cases(rng: np.random.Generator) -> list[CheckCase]:
+def _node_cases(rng: np.random.Generator) -> list[CheckCase]:
     return [
-        CheckCase("matmul", [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))],
-                  _weighted(lambda t, l: l[0] @ l[1], rng.standard_normal((3, 2))), 1e-6),
         CheckCase("add", [rng.standard_normal((3, 4)), rng.standard_normal((3, 4))],
                   _weighted(lambda t, l: l[0] + l[1], rng.standard_normal((3, 4))), 1e-6),
-        CheckCase("scale", [rng.standard_normal((3, 3))],
-                  _weighted(lambda t, l: ad.scale(l[0], -1.7), rng.standard_normal((3, 3))), 1e-6),
         CheckCase("take_rows", [rng.standard_normal((3, 3))],
                   _weighted(lambda t, l: ad.take(l[0], [2, 0, 2]), rng.standard_normal((3, 3))), 1e-6),
-        CheckCase("leaky_relu", [_away_from(rng, (4, 4), 0.0, 0.1)],
-                  _weighted(lambda t, l: ad.leaky_relu(l[0], 0.01), rng.standard_normal((4, 4))), 1e-6),
-        CheckCase("softmax_rows", [rng.standard_normal((4, 5))],
-                  _weighted(lambda t, l: ad.softmax_rows(l[0]), rng.standard_normal((4, 5))), 1e-6),
-        CheckCase("add_rowvec", [rng.standard_normal((4, 3)), rng.standard_normal((1, 3))],
-                  _weighted(lambda t, l: ad.add_rowvec(l[0], l[1]), rng.standard_normal((4, 3))), 1e-6),
         CheckCase("vstack", [rng.standard_normal((3, 4)), rng.standard_normal((2, 4))],
                   _weighted(lambda t, l: ad.vstack(l[0], l[1]), rng.standard_normal((5, 4))), 1e-6),
-        CheckCase("nuclear_norm", [_separated_singular_matrix(rng)],
-                  lambda t, l: ad.nuclear_norm(l[0]), 1e-4),
+        _layer_case(rng),
+        CheckCase("layer_linear", [rng.standard_normal((3, 4)), rng.standard_normal((4, 2)),
+                                   rng.standard_normal((1, 2))],
+                  _weighted(lambda t, l: dense(*l), rng.standard_normal((3, 2))), 1e-6),
+        CheckCase("head", [rng.standard_normal((4, 3)), rng.standard_normal((3, 5)),
+                           rng.standard_normal((1, 5))],
+                  _weighted(lambda t, l: dense(*l, "softmax"), rng.standard_normal((4, 5))), 1e-6),
+        CheckCase("objective", [rng.standard_normal((1, 1)) for _ in range(3)],
+                  lambda t, l: L.total_objective(*l, 0.5, 0.3), 1e-6),
     ]
 
 
@@ -190,7 +186,7 @@ def _l_cls_case(rng: np.random.Generator) -> CheckCase:
     y = L.one_hot(np.array([0, 2, 1, 0]), 3)
 
     def build(tape, leaves):
-        return L.l_cls(ad.softmax_rows(leaves[0]), y)
+        return L.l_cls(_softmax(tape, leaves[0]), y)
 
     return CheckCase("l_cls", [logits], build, 1e-4)
 
@@ -203,7 +199,7 @@ def _l_da_case(rng: np.random.Generator) -> CheckCase:
     spec = KernelSpec("gaussian", bandwidth_sq=2.0)
 
     def build(tape, leaves):
-        y_t = ad.softmax_rows(leaves[2])
+        y_t = _softmax(tape, leaves[2])
         return l_da(leaves[0], y_s, leaves[1], y_t, spec)
 
     return CheckCase("l_da", [g_s, g_t, t_logits], build, 1e-4)
@@ -290,7 +286,7 @@ def _wd_case(rng: np.random.Generator) -> CheckCase:
         raise NumericalError("wd gradcheck: no instance with a clear best assignment found")
 
     def build(tape, leaves):
-        return _wd_loss(leaves[0], leaves[1], y_s, ad.softmax_rows(leaves[2]))
+        return _wd_loss(leaves[0], leaves[1], y_s, _softmax(tape, leaves[2]))
 
     return CheckCase("wd", [g_s, g_t, logits], build, 1e-4)
 
@@ -305,7 +301,7 @@ def _end_to_end_case(rng: np.random.Generator) -> CheckCase:
     records them.
     """
     dims = ModelDims(4, 6, 5, 3)
-    cfg = TrainConfig(kernel_bandwidth_sq=2.0)
+    cfg = END_TO_END_CONFIG
     # two source rows per class: prototypes are then proper means, never
     # exactly equal to any single row (a zero distance sits on a sqrt kink)
     ys = np.array([0, 0, 1, 1, 2, 2])
@@ -348,7 +344,7 @@ def _end_to_end_case(rng: np.random.Generator) -> CheckCase:
 def build_cases(seed: int = 0) -> list[CheckCase]:
     _check_seed(seed)
     rng = np.random.default_rng([seed, 0xC0FFEE])
-    cases = _op_cases(rng)
+    cases = _node_cases(rng)
     cases.append(_l_cls_case(rng))
     cases.append(_l_da_case(rng))
     cases.append(_l_dmc_case(rng))

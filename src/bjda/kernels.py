@@ -28,6 +28,10 @@ GAUSSIAN = "gaussian"
 LINEAR = "linear"
 KERNEL_KINDS = (GAUSSIAN, LINEAR)
 
+# Singular values at or below EPS_RANK * sigma_max are treated as zero when
+# kbw_sq forms the nuclear-norm subgradient U_r V_r^T.
+EPS_RANK = 1e-8
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -121,21 +125,6 @@ def _gram_adjoint(a: np.ndarray, b: np.ndarray, k: np.ndarray, spec: KernelSpec,
             2.0 * (dd.sum(axis=0)[:, None] * b - dd.T @ a))
 
 
-def _gram_node(av: Value, bv: Value, spec: KernelSpec) -> Value:
-    """One tape node holding H_n K_ab H_m; its adjoint goes straight into a
-    and b (centering is symmetric, so it centers the upstream gradient first)."""
-    tape = ad._join(av, bv)
-    a, b = av.value, bv.value
-    k = _gram(a, b, spec)
-
-    def backward(g):
-        da, db = _gram_adjoint(a, b, k, spec, _centered(g))
-        ad._accumulate(av, da, owned=True)
-        ad._accumulate(bv, db, owned=True)
-
-    return tape._record(_centered(k), backward, av, bv)
-
-
 def _self_term(k: np.ndarray) -> float:
     """(1/r) tr(H K H) for an r x r Gram matrix K: tr(H K H) = tr K - 1^T K 1 / r."""
     r = k.shape[0]
@@ -157,26 +146,6 @@ def _self_term_grad(x: np.ndarray, k: np.ndarray, spec: KernelSpec, coef: float)
     return 4.0 * (dd.sum(axis=1, keepdims=True) * x - dd @ x)
 
 
-def _bures_combine(av: Value, bv: Value, coupling: Value, spec: KernelSpec) -> Value:
-    """max((1/n) tr(H K_aa H) + (1/m) tr(H K_bb H) - 2/sqrt(nm) coupling, 0) as
-    one node; gradient passes only while the value is above 0."""
-    a, b = av.value, bv.value
-    k_aa, k_bb = _gram(a, a, spec), _gram(b, b, spec)
-    weight = 2.0 / np.sqrt(a.shape[0] * b.shape[0])
-    dist_sq = _self_term(k_aa) + _self_term(k_bb) - weight * coupling.item()
-
-    def backward(g):
-        if dist_sq <= 0.0:
-            return
-        if not av.constant:
-            ad._accumulate(av, _self_term_grad(a, k_aa, spec, g[0, 0]), owned=True)
-        if not bv.constant:
-            ad._accumulate(bv, _self_term_grad(b, k_bb, spec, g[0, 0]), owned=True)
-        ad._accumulate(coupling, g * -weight, owned=True)
-
-    return av.tape._record(np.array([[max(dist_sq, 0.0)]]), backward, av, bv, coupling)
-
-
 def kbw_sq(a, b, spec: KernelSpec = KernelSpec(),
            tape: Tape | None = None) -> Value:
     """Squared kernel Bures-Wasserstein distance between two samples.
@@ -187,14 +156,22 @@ def kbw_sq(a, b, spec: KernelSpec = KernelSpec(),
         (1/n) tr(H_n K_aa H_n) + (1/m) tr(H_m K_bb H_m)
         - (2 / sqrt(n m)) |H_n K_ab H_m|_*
 
-    clamped at zero. One call records three tape nodes: the centered cross
-    Gram matrix H_n K_ab H_m, its autodiff.nuclear_norm, and a node for the
-    rest, which takes each self term as (tr K - 1^T K 1 / r) / r with the
-    closed-form gradient H / r in K and passes gradient only while the value
-    is above 0. Every adjoint goes straight into a and b. This is the
-    distance between two covariance operators only when K_aa, K_bb and K_ab
-    come from one kernel, so a Gaussian kernel without a fixed bandwidth gets
-    one gaussian_bandwidth over the pooled rows of a and b.
+    clamped at zero, as one tape node. It holds the centered cross-Gram
+    matrix H_n K_ab H_m and its autodiff.nuclear_norm, with the SVD
+    factors, and takes each self term as (tr K - 1^T K 1 / r) / r, with the
+    closed-form gradient H / r in K. This is the distance between two
+    covariance operators only when K_aa, K_bb and K_ab come from one kernel,
+    so a Gaussian kernel without a fixed bandwidth gets one
+    gaussian_bandwidth over the pooled rows of a and b.
+
+    The adjoint passes gradient only while the value is above 0. It replays
+    the adjoints of the three nodes it replaces, each first write + 0.0
+    included: the self terms' into a and then b, the nuclear norm's
+    subgradient U_r V_r^T (Ionescu et al., ICCV 2015) over the singular
+    triplets with sigma > EPS_RANK * sigma_max, then the centered Gram's
+    into a and b, centering the upstream gradient first (centering is
+    symmetric). Repeated singular values get no special handling; the
+    subgradient is still a valid element of the subdifferential.
     """
     if tape is None:
         tape = a.tape if isinstance(a, Value) else (b.tape if isinstance(b, Value) else Tape())
@@ -205,12 +182,34 @@ def kbw_sq(a, b, spec: KernelSpec = KernelSpec(),
         raise InputError(f"kbw_sq: need at least 2 rows per sample, got n={n}, m={m}")
     if av.shape[1] != bv.shape[1]:
         raise DimensionError(f"kbw_sq: feature dims differ, {av.shape} vs {bv.shape}")
+    ad._join(av, bv)
 
+    x, y = av.value, bv.value
     if spec.kind == GAUSSIAN and spec.bandwidth_sq is None:
-        pooled = np.vstack([av.value, bv.value])
+        pooled = np.vstack([x, y])
         spec = KernelSpec(GAUSSIAN, gaussian_bandwidth(pooled, pooled))
-    coupling = ad.nuclear_norm(_gram_node(av, bv, spec))
-    return _bures_combine(av, bv, coupling, spec)
+    k_xy = _gram(x, y, spec)
+    coupling, u, s, vt = ad.nuclear_norm(_centered(k_xy))
+    k_xx, k_yy = _gram(x, x, spec), _gram(y, y, spec)
+    weight = 2.0 / np.sqrt(n * m)
+    dist_sq = _self_term(k_xx) + _self_term(k_yy) - weight * float(coupling)
+
+    def backward(g):
+        if dist_sq <= 0.0:
+            return
+        if not av.constant:
+            ad._accumulate(av, _self_term_grad(x, k_xx, spec, g[0, 0]), owned=True)
+        if not bv.constant:
+            ad._accumulate(bv, _self_term_grad(y, k_yy, spec, g[0, 0]), owned=True)
+        if s[0] <= 0.0:
+            return   # a zero cross-Gram matrix: subgradient 0
+        keep = s > EPS_RANK * s[0]
+        d_gram = (g * -weight + 0.0)[0, 0] * (u[:, keep] @ vt[keep, :]) + 0.0
+        dx, dy = _gram_adjoint(x, y, k_xy, spec, _centered(d_gram))
+        ad._accumulate(av, dx, owned=True)
+        ad._accumulate(bv, dy, owned=True)
+
+    return tape._record(np.array([[max(dist_sq, 0.0)]]), backward, av, bv)
 
 
 def _sym_eig_clamped(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

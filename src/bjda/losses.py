@@ -7,8 +7,8 @@ Each loss returns a 1x1 tape Value so the trainer can combine terms and
 run one backward pass. Quantities the gradient must NOT flow through
 (prediction probabilities used as margins, prototype coordinates, pseudo
 labels) are taken as plain arrays, never tape Values, and held inside the
-loss's node. l_cls, l_dmc and l_trip record one node each; l_trip's holds
-the counts of triplet_hinge, a plain-array function.
+loss's node. l_cls, l_dmc, l_trip and total_objective record one node
+each; l_trip's holds the counts of triplet_hinge, a plain-array function.
 """
 from __future__ import annotations
 
@@ -293,14 +293,31 @@ def l_trip(g: Value, labels: np.ndarray, margin: float) -> tuple[Value, int]:
 
 def total_objective(cls_term: Value, da_term: Value | None, con_term: Value | None,
                     lambda1: float, lambda2: float) -> Value:
-    """Weighted sum cls + lambda1 * da + lambda2 * con of whichever terms exist."""
+    """Weighted sum cls + lambda1 * da + lambda2 * con of whichever terms
+    exist, as one tape node; cls_term itself when neither does. The adjoint
+    replays the scales' and adds' in their tape order (the last term's, cls's,
+    then the first term's), each first write + 0.0 included, so it gives the
+    composed form's bits."""
     lambda1 = float(lambda1)
     lambda2 = float(lambda2)
     if lambda1 < 0.0 or lambda2 < 0.0:
         raise ConfigError(f"loss weights must be >= 0, got ({lambda1}, {lambda2})")
-    total = cls_term
-    if da_term is not None:
-        total = total + ad.scale(da_term, lambda1)
-    if con_term is not None:
-        total = total + ad.scale(con_term, lambda2)
-    return total
+    terms = [(t, w) for t, w in ((da_term, lambda1), (con_term, lambda2)) if t is not None]
+    if not terms:
+        return cls_term
+    value = cls_term.value
+    for term, weight in terms:
+        ad._join(cls_term, term)
+        if term.shape != cls_term.shape:
+            raise DimensionError(f"total_objective: shapes differ, {cls_term.shape} vs {term.shape}")
+        value = value + term.value * weight
+    (first, first_weight), *rest = terms
+
+    def backward(g):
+        g = g + 0.0   # the adds pass g on as g + 0.0
+        for term, weight in reversed(rest):
+            ad._accumulate(term, g * weight, owned=True)
+        ad._accumulate(cls_term, g)
+        ad._accumulate(first, g * first_weight, owned=True)
+
+    return cls_term.tape._record(value, backward, cls_term, *(t for t, _ in terms))

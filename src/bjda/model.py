@@ -104,25 +104,78 @@ def make_leaves(tape: Tape, params: ModelParams) -> dict[str, Value]:
     return {name: tape.leaf(params.tensors[name], name, copy=False) for name in PARAM_NAMES}
 
 
+def _fit(x: Value, w: Value, b: Value) -> Tape:
+    """The tape of x, W and b, once x W + b is defined."""
+    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise DimensionError(f"dense: x {x.shape}, W {w.shape} and b {b.shape} do not fit")
+    ad._join(x, b)
+    return ad._join(x, w)
+
+
+def dense(x: Value, w: Value, b: Value, act: str | None = None,
+          xw: np.ndarray | None = None) -> Value:
+    """One tape node for act(x W + b), act None, "leaky" (LEAKY_SLOPE) or
+    "softmax" over rows; xw, when given, is x W, already computed.
+
+    The adjoint replays the activation's, the row-vector add's (b takes the
+    column sums) and the product's adjoints, each first write + 0.0
+    included, so it gives their bits. When x takes a gradient, the tape's
+    helper computes x^T d while the caller computes d W^T.
+    """
+    tape = _fit(x, w, b)
+    work = x.shape[0] * x.shape[1] * w.shape[1]
+    z = x.value @ w.value if xw is None else xw
+    z += b.value
+    if act == "leaky":
+        out = ad.leaky_relu_array(z, LEAKY_SLOPE, out=z)
+    else:
+        out = ad.softmax_rows_array(z) if act == "softmax" else z
+
+    def backward(g):
+        if act == "leaky":
+            # 1 where the pre-activation is > 0, and so out is, else the slope
+            d = (out > 0.0).astype(np.float64)
+            np.maximum(d, LEAKY_SLOPE, out=d)
+            np.multiply(g, d, out=d)
+        elif act == "softmax":   # ds_ij/dz_ik = s_ij (delta_jk - s_ik)
+            d = out * (g - (g * out).sum(axis=1, keepdims=True))
+        else:
+            d = g.copy()
+        d += 0.0   # the add passes d on to the product as d + 0.0, which is d
+        ad._accumulate(b, d.sum(axis=0, keepdims=True), owned=True)
+        if x.constant:
+            ad._accumulate(w, x.value.T @ d, owned=True)
+        else:
+            dx, dw = ad.both(tape.helper, work, lambda: d @ w.value.T, lambda: x.value.T @ d)
+            ad._accumulate(x, dx, owned=True)
+            ad._accumulate(w, dw, owned=True)
+
+    return tape._record(out, backward, x, w, b)
+
+
 def forward_g(leaves: dict[str, Value], x_s: Value, x_t: Value) -> tuple[Value, Value]:
     """Feature extractor leaky_relu(x W1 + b1) W2 + b2 (linear output) on a
-    source and a target batch.
+    source and a target batch, one dense node per layer and batch.
 
-    Each layer records the source's node, then the target's, and the
-    weight's two products go through autodiff.matmul_pair, so a tape with a
-    helper computes them at once. In the reverse pass every parameter still
-    takes the target's adjoint before the source's, as when the two
-    batches' passes are recorded one after the other.
+    Each layer records the source's node, then the target's, and a tape with
+    a helper computes the weight's two products at once (autodiff.both). In
+    the reverse pass every parameter still takes the target's adjoint before
+    the source's, as when the two batches' passes are recorded in turn.
     """
-    z_s, z_t = ad.matmul_pair(x_s, x_t, leaves["w1"])
-    h_s, h_t = (ad.leaky_relu(ad.add_rowvec(z, leaves["b1"]), LEAKY_SLOPE) for z in (z_s, z_t))
-    z_s, z_t = ad.matmul_pair(h_s, h_t, leaves["w2"])
-    return ad.add_rowvec(z_s, leaves["b2"]), ad.add_rowvec(z_t, leaves["b2"])
+    pair = (x_s, x_t)
+    for w, b, act in ((leaves["w1"], leaves["b1"], "leaky"), (leaves["w2"], leaves["b2"], None)):
+        for x in pair:
+            _fit(x, w, b)
+        work = min(x.shape[0] for x in pair) * w.shape[0] * w.shape[1]
+        products = ad.both(w.tape.helper, work, lambda: pair[0].value @ w.value,
+                           lambda: pair[1].value @ w.value)
+        pair = tuple(dense(x, w, b, act, xw) for x, xw in zip(pair, products))
+    return pair
 
 
 def forward_f(leaves: dict[str, Value], g: Value) -> Value:
-    """Classifier head: softmax over g Wc + bc; rows sum to 1."""
-    return ad.softmax_rows(ad.add_rowvec(g @ leaves["wc"], leaves["bc"]))
+    """Classifier head softmax(g Wc + bc) as one dense node; rows sum to 1."""
+    return dense(g, leaves["wc"], leaves["bc"], "softmax")
 
 
 def predict_probs(params: ModelParams, x: np.ndarray) -> np.ndarray:

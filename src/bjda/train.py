@@ -10,8 +10,8 @@ step. All randomness comes from generators derived from cfg.seed, so a
 
 A train() call on the main thread with two usable CPUs opens one
 autodiff.Helper for its length and joins it before it returns or raises.
-Its tapes carry it, so the two batches' forward products and a weight's two
-adjoints can run at once; the SGD step can hand it half a tensor's rows and
+Its tapes carry it, so the two batches' forward products and a layer's two
+adjoint products can run at once; the SGD step can hand it half a tensor's rows and
 evaluate half its chunks. autodiff.both gives it only work at its floor, so
 narrow runs on small targets stay on one thread. Each job computes what the
 caller would, so the bytes do not depend on the helper. run_suite's workers

@@ -1,19 +1,103 @@
 """Tape ops that training does not record, with autodiff's former values and
-adjoints, for the tests' composed oracles (kbw_sq_reference,
-l_dmc_with_masks, l_cls_reference, and l_trip_composed and wd_composed
-below) and tape checks, and the former lexsort formulation of
-losses.triplet_hinge, a bitwise oracle for the packed-key one."""
+adjoints, for the tests' composed oracles and tape checks: the forms that
+model.dense, kernels.kbw_sq and losses.total_objective replaced
+(dense_composed, kbw_sq_composed and total_objective_composed below),
+kbw_sq_reference, l_dmc_with_masks, l_cls_reference, l_trip_composed and
+wd_composed, and the former lexsort formulation of losses.triplet_hinge, a
+bitwise oracle for the packed-key one."""
 import numpy as np
 
 from bjda import losses
-from bjda.autodiff import Value, _accumulate, _join, add, pairwise_sqdist_matrix, scale
-from bjda.errors import DimensionError, DomainError
-from bjda.kernels import optimal_assignment
+from bjda.autodiff import (Value, _accumulate, _join, add, both, leaky_relu_array,
+                           nuclear_norm as nuclear_norm_array, pairwise_sqdist_matrix,
+                           softmax_rows_array)
+from bjda.errors import ConfigError, DimensionError, DomainError
+from bjda.kernels import (EPS_RANK, GAUSSIAN, KernelSpec, _centered, _gram, _gram_adjoint,
+                          _self_term, _self_term_grad, gaussian_bandwidth, optimal_assignment)
+from bjda.model import LEAKY_SLOPE
 
 
 def _unary(a: Value, value: np.ndarray, adjoint) -> Value:
     """A node holding value whose adjoint accumulates the temporary adjoint(g) into a."""
     return a.tape._record(value, lambda g: _accumulate(a, adjoint(g), owned=True), a)
+
+
+def matmul(a: Value, b: Value) -> Value:
+    """Matrix product. Adjoints: dA = g B^T, dB = A^T g; when both are
+    wanted, the tape's helper computes dB while the caller computes dA."""
+    tape = _join(a, b)
+    if a.shape[1] != b.shape[0]:
+        raise DimensionError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
+    work = a.shape[0] * a.shape[1] * b.shape[1]
+
+    def backward(g):
+        if a.constant:
+            _accumulate(b, a.value.T @ g, owned=True)
+        elif b.constant:
+            _accumulate(a, g @ b.value.T, owned=True)
+        else:
+            da, db = both(tape.helper, work, lambda: g @ b.value.T, lambda: a.value.T @ g)
+            _accumulate(a, da, owned=True)
+            _accumulate(b, db, owned=True)
+
+    return tape._record(a.value @ b.value, backward, a, b)
+
+
+def scale(a: Value, s: float) -> Value:
+    """Multiply every entry by the constant s."""
+    s = float(s)
+    return _unary(a, a.value * s, lambda g: g * s)
+
+
+def leaky_relu(a: Value, slope: float = LEAKY_SLOPE) -> Value:
+    """x for x > 0, slope * x otherwise; slope must lie in [0, 1]."""
+    slope = float(slope) + 0.0  # a slope of -0.0 becomes +0.0
+    if not 0.0 <= slope <= 1.0:
+        raise ConfigError(f"leaky_relu: slope must lie in [0, 1], got {slope}")
+
+    def adjoint(g):
+        # the factor, 1 where a > 0 and slope elsewhere, as max(a > 0, slope)
+        f = (a.value > 0.0).astype(np.float64)
+        np.maximum(f, slope, out=f)
+        return np.multiply(g, f, out=f)
+
+    return _unary(a, leaky_relu_array(a.value, slope), adjoint)
+
+
+def softmax_rows(a: Value) -> Value:
+    """Row-wise softmax, computed with the usual max-shift for stability."""
+    s = softmax_rows_array(a.value)
+    # ds_ij/da_ik = s_ij (delta_jk - s_ik)
+    return _unary(a, s, lambda g: s * (g - (g * s).sum(axis=1, keepdims=True)))
+
+
+def add_rowvec(a: Value, b: Value) -> Value:
+    """Add the 1 x m row vector b to every row of the n x m matrix a."""
+    tape = _join(a, b)
+    if b.shape[0] != 1 or b.shape[1] != a.shape[1]:
+        raise DimensionError(f"add_rowvec: expected (1, {a.shape[1]}) row, got {b.shape}")
+
+    def backward(g):
+        _accumulate(a, g)
+        if not b.constant:
+            _accumulate(b, g.sum(axis=0, keepdims=True), owned=True)
+
+    return tape._record(a.value + b.value, backward, a, b)
+
+
+def nuclear_norm(a: Value) -> Value:
+    """Sum of singular values, as a 1x1 matrix. The adjoint uses the
+    subgradient U_r V_r^T over the singular triplets with sigma >
+    EPS_RANK * sigma_max."""
+    total, u, s, vt = nuclear_norm_array(a.value)
+
+    def backward(g):
+        if s.size == 0 or s[0] <= 0.0:
+            return  # zero matrix: subgradient 0
+        keep = s > EPS_RANK * s[0]
+        _accumulate(a, g[0, 0] * (u[:, keep] @ vt[keep, :]), owned=True)
+
+    return a.tape._record(np.array([[total]]), backward, a)
 
 
 def sub(a: Value, b: Value) -> Value:
@@ -142,6 +226,79 @@ def wd_composed(g_s: Value, g_t: Value, y_s_1h: np.ndarray, probs_t: Value) -> V
     rows = np.arange(cols.shape[0])
     matched = add(sum_all(take_entries(feat, rows, cols)), sum_all(take_entries(label, rows, cols)))
     return scale(matched, 1.0 / rows.shape[0])
+
+
+def dense_composed(x: Value, w: Value, b: Value, act: str | None = None) -> Value:
+    """model.dense as the nodes it replaces: the product, the row-vector add
+    and, for act "leaky" or "softmax", the activation."""
+    z = add_rowvec(matmul(x, w), b)
+    if act == "leaky":
+        return leaky_relu(z)
+    return softmax_rows(z) if act == "softmax" else z
+
+
+def forward_g_composed(leaves: dict, x_s: Value, x_t: Value) -> tuple[Value, Value]:
+    """model.forward_g as the ten nodes it used to record, in their order:
+    both batches' products of W1, each batch's row-vector add and leaky
+    ReLU, both batches' products of W2, then each batch's add of b2."""
+    z_s, z_t = matmul(x_s, leaves["w1"]), matmul(x_t, leaves["w1"])
+    h_s, h_t = (leaky_relu(add_rowvec(z, leaves["b1"])) for z in (z_s, z_t))
+    z_s, z_t = matmul(h_s, leaves["w2"]), matmul(h_t, leaves["w2"])
+    return add_rowvec(z_s, leaves["b2"]), add_rowvec(z_t, leaves["b2"])
+
+
+def centered_gram(av: Value, bv: Value, spec: KernelSpec) -> Value:
+    """One node holding H_n K_ab H_m; its adjoint goes straight into a and b
+    (centering is symmetric, so it centers the upstream gradient first)."""
+    a, b = av.value, bv.value
+    k = _gram(a, b, spec)
+
+    def backward(g):
+        da, db = _gram_adjoint(a, b, k, spec, _centered(g))
+        _accumulate(av, da, owned=True)
+        _accumulate(bv, db, owned=True)
+
+    return _join(av, bv)._record(_centered(k), backward, av, bv)
+
+
+def bures_combine(av: Value, bv: Value, coupling: Value, spec: KernelSpec) -> Value:
+    """max((1/n) tr(H K_aa H) + (1/m) tr(H K_bb H) - 2/sqrt(nm) coupling, 0) as
+    one node; gradient passes only while the value is above 0."""
+    a, b = av.value, bv.value
+    k_aa, k_bb = _gram(a, a, spec), _gram(b, b, spec)
+    weight = 2.0 / np.sqrt(a.shape[0] * b.shape[0])
+    dist_sq = _self_term(k_aa) + _self_term(k_bb) - weight * coupling.item()
+
+    def backward(g):
+        if dist_sq <= 0.0:
+            return
+        if not av.constant:
+            _accumulate(av, _self_term_grad(a, k_aa, spec, g[0, 0]), owned=True)
+        if not bv.constant:
+            _accumulate(bv, _self_term_grad(b, k_bb, spec, g[0, 0]), owned=True)
+        _accumulate(coupling, g * -weight, owned=True)
+
+    return av.tape._record(np.array([[max(dist_sq, 0.0)]]), backward, av, bv, coupling)
+
+
+def kbw_sq_composed(av: Value, bv: Value, spec: KernelSpec) -> Value:
+    """kernels.kbw_sq as the three nodes it used to record: the centered
+    cross-Gram matrix, its nuclear norm and the rest."""
+    if spec.kind == GAUSSIAN and spec.bandwidth_sq is None:
+        pooled = np.vstack([av.value, bv.value])
+        spec = KernelSpec(GAUSSIAN, gaussian_bandwidth(pooled, pooled))
+    return bures_combine(av, bv, nuclear_norm(centered_gram(av, bv, spec)), spec)
+
+
+def total_objective_composed(cls_term: Value, da_term: Value | None, con_term: Value | None,
+                             lambda1: float, lambda2: float) -> Value:
+    """losses.total_objective as the scales and adds it used to record."""
+    total = cls_term
+    if da_term is not None:
+        total = total + scale(da_term, lambda1)
+    if con_term is not None:
+        total = total + scale(con_term, lambda2)
+    return total
 
 
 def triplet_hinge_lexsort(d: np.ndarray, labels, margin: float) -> tuple[float, np.ndarray]:

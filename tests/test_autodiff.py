@@ -18,8 +18,9 @@ from bjda.data import SynthSpec, gen_rotated_blobs
 from bjda.errors import ConfigError, DimensionError, DomainError, InputError
 from bjda.gradcheck import central_difference, max_rel_error
 from bjda.losses import l_cls, l_trip, triplet_hinge
-from bjda.model import (LEAKY_SLOPE, ModelDims, forward_f, forward_g, init_xavier, make_leaves,
-                        save_checkpoint)
+from bjda.kernels import KernelSpec, kbw_sq
+from bjda.model import (LEAKY_SLOPE, ModelDims, dense, forward_f, forward_g, init_xavier,
+                        make_leaves, save_checkpoint)
 from bjda.train import TrainConfig, train
 
 
@@ -87,7 +88,7 @@ def test_backward_root_must_live_on_the_tape():
 
 def test_backward_keeps_leaf_grads_and_empties_the_tape():
     tape, a, b = leafpair([[1.0, 2.0], [3.0, 4.0]], [[0.5, -1.0], [2.0, 0.0]])
-    out = ops.sum_all(a @ b)
+    out = ops.sum_all(ops.matmul(a, b))
     tape.backward(out)
     assert len(tape) == 0
     assert np.array_equal(a.grad, np.ones((2, 2)) @ b.value.T)
@@ -131,29 +132,29 @@ def test_a_model_tape_is_freed_without_the_cyclic_collector():
 
 def test_matmul_identity():
     tape, a, i = leafpair([[1.0, 2.0], [3.0, 4.0]], np.eye(2))
-    assert np.array_equal((a @ i).value, [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(ops.matmul(a, i).value, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_matmul_column_pick():
     tape, i, c = leafpair(np.eye(2), [[5.0], [7.0]])
-    assert np.array_equal((i @ c).value, [[5.0], [7.0]])
+    assert np.array_equal(ops.matmul(i, c).value, [[5.0], [7.0]])
 
 
 def test_matmul_shape_error_names_both_shapes():
     tape, a, b = leafpair(np.ones((2, 3)), np.ones((2, 3)))
     with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
-        ad.matmul(a, b)
+        ops.matmul(a, b)
 
 
 def test_softmax_symmetry():
     tape = Tape()
-    s = ad.softmax_rows(tape.leaf([[0.0, 0.0]]))
+    s = ops.softmax_rows(tape.leaf([[0.0, 0.0]]))
     assert np.allclose(s.value, [[0.5, 0.5]], atol=0, rtol=0)
 
 
 def test_leaky_relu_negative_branch():
     tape = Tape()
-    out = ad.leaky_relu(tape.leaf([[-1.0]]), 0.01)
+    out = ops.leaky_relu(tape.leaf([[-1.0]]), 0.01)
     assert out.value[0, 0] == -0.01
 
 
@@ -180,7 +181,7 @@ def test_leaky_relu_property_matches_the_masked_select_bytes(batch):
     expected = np.where(a > 0.0, a, slope * a)
     tape = Tape()
     leaf = tape.leaf(a)
-    out = ad.leaky_relu(leaf, slope)
+    out = ops.leaky_relu(leaf, slope)
     assert out.value.tobytes() == expected.tobytes()
     out._backward(upstream)
     assert leaf.grad.tobytes() == (0.0 + upstream * np.where(a > 0.0, 1.0, slope)).tobytes()
@@ -193,7 +194,7 @@ def test_leaky_relu_property_matches_the_masked_select_bytes(batch):
 @pytest.mark.parametrize("slope", [-0.5, -1e-300, 1.0 + 2 ** -52, 2.0, float("nan"), float("inf")])
 def test_leaky_relu_rejects_a_slope_outside_the_unit_interval(slope):
     with pytest.raises(ConfigError, match="slope"):
-        ad.leaky_relu(Tape().leaf([[1.0]]), slope)
+        ops.leaky_relu(Tape().leaf([[1.0]]), slope)
 
 
 def test_trace_identity():
@@ -237,15 +238,17 @@ def test_pairwise_sqdist_never_negative():
 
 
 def test_nuclear_norm_diagonal():
-    tape = Tape()
-    assert ad.nuclear_norm(tape.leaf(np.diag([3.0, -4.0]))).item() == pytest.approx(7.0, abs=1e-12)
+    assert ad.nuclear_norm(np.diag([3.0, -4.0]))[0] == pytest.approx(7.0, abs=1e-12)
 
 
 def test_nuclear_norm_zero_matrix():
-    tape = Tape()
-    v = ad.nuclear_norm(tape.leaf(np.zeros((3, 2))))
-    assert v.item() == 0.0
-    tape.backward(v)  # zero-matrix subgradient must not blow up
+    assert ad.nuclear_norm(np.zeros((3, 2)))[0] == 0.0
+    # a zero centered cross-Gram matrix: kbw_sq's subgradient of its nuclear
+    # norm is 0, so only the self terms' gradients reach the samples
+    a, b = np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[0.0, 1.0], [0.0, -1.0]])
+    tape, av, bv = leafpair(a, b)
+    tape.backward(kbw_sq(av, bv, KernelSpec("linear")))
+    assert np.array_equal(av.grad, a) and np.array_equal(bv.grad, b)
 
 
 def test_nuclear_norm_transpose_symmetry():
@@ -253,8 +256,8 @@ def test_nuclear_norm_transpose_symmetry():
     for _ in range(20):
         x = rng.normal(size=(5, 3))
         t = Tape()
-        fwd = ad.nuclear_norm(t.leaf(x)).item()
-        bwd = ad.nuclear_norm(t.leaf(x.T)).item()
+        fwd = ad.nuclear_norm(x)[0]
+        bwd = ad.nuclear_norm(x.T)[0]
         assert abs(fwd - bwd) <= 1e-10
 
 
@@ -269,14 +272,13 @@ def test_vstack_splits_gradient_by_block():
 def test_add_rowvec_requires_single_row():
     tape, a, b = leafpair(np.ones((2, 3)), np.ones((2, 3)))
     with pytest.raises(DimensionError):
-        ad.add_rowvec(a, b)
+        ops.add_rowvec(a, b)
 
 
 def test_scalar_operator_sugar():
     tape = Tape()
     x = tape.leaf([[4.0]])
     assert (x + x).item() == 8.0
-    assert (x @ x).item() == 16.0
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +292,7 @@ def test_forward_is_deterministic_bitwise():
     def run():
         tape = Tape()
         v = tape.leaf(x)
-        out = ops.sum_all(ops.exp(ad.softmax_rows(v @ v)))
+        out = ops.sum_all(ops.exp(ops.softmax_rows(ops.matmul(v, v))))
         tape.backward(out)
         return out.item(), v.grad.copy()
 
@@ -313,7 +315,7 @@ def test_backward_is_linear_in_the_loss():
     def grads(which):
         tape = Tape()
         a, b = tape.leaf(x1), tape.leaf(x2)
-        l1 = ops.sum_all(a @ a)
+        l1 = ops.sum_all(ops.matmul(a, a))
         l2 = ops.sum_all(ops.hadamard(b, b))
         loss = {"l1": l1, "l2": l2, "both": l1 + l2}[which]
         tape.backward(loss)
@@ -335,7 +337,7 @@ def test_backward_linearity_with_a_shared_leaf():
     def grads(which):
         tape = Tape()
         v = tape.leaf(x)
-        l1 = ops.sum_all(v @ v)
+        l1 = ops.sum_all(ops.matmul(v, v))
         l2 = ops.sum_all(ops.hadamard(v, v))
         loss = {"l1": l1, "l2": l2, "both": l1 + l2}[which]
         tape.backward(loss)
@@ -349,7 +351,7 @@ def test_backward_linearity_with_a_shared_leaf():
 def test_gradient_of_root_wrt_itself_is_ones():
     tape = Tape()
     v = tape.leaf(np.zeros((2, 3)))
-    out = ad.scale(v, 2.0)
+    out = ops.scale(v, 2.0)
     tape.backward(out)
     assert np.array_equal(out.grad, np.ones((2, 3)))
 
@@ -357,8 +359,8 @@ def test_gradient_of_root_wrt_itself_is_ones():
 def test_nodes_off_the_loss_path_stay_untouched():
     tape = Tape()
     v = tape.leaf(np.ones((2, 2)))
-    used = ops.sum_all(ad.scale(v, 3.0))
-    unused = ad.softmax_rows(v)  # recorded after, never feeds the root
+    used = ops.sum_all(ops.scale(v, 3.0))
+    unused = ops.softmax_rows(v)  # recorded after, never feeds the root
     tape.backward(used)
     assert not unused.grad.any()
     assert np.array_equal(v.grad, np.full((2, 2), 3.0))
@@ -395,8 +397,8 @@ def test_sqrt_zero_entry_gets_zero_subgradient():
 def test_grad_buffers_are_made_only_where_an_adjoint_writes():
     tape = Tape()
     v = tape.leaf(np.ones((2, 2)))
-    used = ops.sum_all(ad.scale(v, 3.0))
-    unused = ad.softmax_rows(v)
+    used = ops.sum_all(ops.scale(v, 3.0))
+    unused = ops.softmax_rows(v)
     assert v._grad is None and used._grad is None
     tape.backward(used)
     assert unused._grad is None
@@ -407,13 +409,18 @@ def test_first_write_keeps_the_zero_buffers_signed_zeros():
     # 0.0 + (-0.0) is +0.0: a lazy buffer must round like the zero buffer did
     tape = Tape()
     v = tape.leaf([[1.0, 2.0]])
-    out = ad.scale(ops.sum_all(ops.hadamard(v, tape.constant([[0.0, 1.0]]))), -1.0)
+    out = ops.scale(ops.sum_all(ops.hadamard(v, tape.constant([[0.0, 1.0]]))), -1.0)
     tape.backward(out)
     assert np.array_equal(v.grad, [[0.0, -1.0]])
     assert not np.signbit(v.grad[0, 0])
 
 
-@pytest.mark.parametrize("op", [ad.matmul, ops.pairwise_sqdist], ids=["matmul", "pairwise_sqdist"])
+def dense_unbiased(x, w):
+    return dense(x, w, x.tape.constant(np.zeros((1, w.shape[1])), "b"))
+
+
+@pytest.mark.parametrize("op", [ops.matmul, ops.pairwise_sqdist, dense_unbiased],
+                         ids=["matmul", "pairwise_sqdist", "dense"])
 @pytest.mark.parametrize("constant_side", [0, 1])
 def test_a_constant_operand_leaves_the_other_grad_bitwise_unchanged(op, constant_side):
     rng = np.random.default_rng(5)
@@ -442,7 +449,7 @@ def test_ops_on_constants_record_constants():
     tape = Tape()
     c = tape.constant(np.ones((2, 2)), "c")
     v = tape.leaf(np.ones((2, 2)))
-    assert ad.softmax_rows(ad.scale(c, 2.0)).constant
+    assert dense(c, c, tape.constant(np.zeros((1, 2)), "b"), "softmax").constant
     assert not ad.add(c, v).constant
     assert not tape.leaf(np.ones((1, 1))).constant
 
@@ -470,9 +477,9 @@ def scalarized(build):
     ("exp_sum", lambda t, v: ops.sum_all(ops.exp(v))),
     ("log_shift", lambda t, v: ops.sum_all(ops.log(v + t.leaf(np.full(v.shape, 5.0))))),
     ("softmax_weighted", lambda t, v: ops.sum_all(ops.hadamard(
-        ad.softmax_rows(v), t.leaf(np.arange(12.0).reshape(3, 4))))),
-    ("matmul_self", lambda t, v: ops.sum_all(v @ ops.transpose(v))),
-    ("nuclear", lambda t, v: ad.nuclear_norm(v)),
+        ops.softmax_rows(v), t.leaf(np.arange(12.0).reshape(3, 4))))),
+    ("matmul_self", lambda t, v: ops.sum_all(ops.matmul(v, ops.transpose(v)))),
+    ("nuclear", lambda t, v: ops.nuclear_norm(v)),
     ("sqdist_self", lambda t, v: ops.sum_all(ops.hadamard(ops.pairwise_sqdist(v, v),
                                                           t.leaf(np.ones((3, 3)))))),
 ])
@@ -560,7 +567,7 @@ def test_triplet_hinge_scales_counts_by_the_upstream_gradient():
     for loss in (l_trip, ops.l_trip_composed):
         tape = Tape()
         leaf = tape.leaf(g)
-        tape.backward(ad.scale(loss(leaf, labels, 1.0)[0], 0.3))
+        tape.backward(ops.scale(loss(leaf, labels, 1.0)[0], 0.3))
         runs.append(leaf.grad)
     assert runs[0].tobytes() == runs[1].tobytes()
     assert runs[0].any()

@@ -9,8 +9,9 @@ import re
 import numpy as np
 import pytest
 
+import tape_ops as ops
 from bjda import autodiff as ad
-from bjda import cli
+from bjda import cli, gradcheck
 from bjda.cli import emit_config, main, parse_config
 from bjda.data import SynthSpec, gen_rotated_blobs, load_csv, save_csv
 from bjda.errors import ConfigError, NumericalError
@@ -498,6 +499,17 @@ def test_distance_bures_rejects_an_empty_sample_by_name(data_dir, tmp_path, caps
         assert err == f"error: bures: dataset {name!r} has no rows\n"
 
 
+@pytest.mark.parametrize("rows", ["", "0,1\n"], ids=["0 rows", "1 row"])
+def test_distance_kbw_rejects_a_short_sample_by_name(data_dir, tmp_path, capsys, rows):
+    short = _write(tmp_path / "short.csv", "label,f0\n" + rows)
+    src = str(data_dir / "source.csv")
+    for argv, name in ((["--a", short, "--b", src], "a"), (["--a", src, "--b", short], "b")):
+        assert main(["distance", "--kind", "kbw"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: kbw: dataset {name!r} has {rows.count(chr(10))} row(s), "
+                       "kbw_sq needs at least 2\n")
+
+
 def test_distance_ot_unequal_sizes_exits_2(tmp_path, capsys):
     a = _write(tmp_path / "a.csv", "label,f0\n0,0\n0,1\n")
     b = _write(tmp_path / "b.csv", "label,f0\n0,1\n")
@@ -510,10 +522,21 @@ def test_distance_ot_unequal_sizes_exits_2(tmp_path, capsys):
 def test_gradcheck_passes_and_lists_every_case(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
-    assert "all 18 gradient checks passed" in out
-    for name in ("nuclear_norm", "l_cls", "l_dmc", "l_trip", "wd", "end_to_end",
-                 "end_to_end_helper"):
+    assert "all 16 gradient checks passed" in out
+    for name in ("layer_leaky", "layer_linear", "head", "objective", "l_cls", "l_dmc", "l_trip",
+                 "wd", "end_to_end", "end_to_end_helper", "kbw_sq_gaussian", "kbw_sq_linear"):
         assert re.search(rf"^{name}\s+max rel err", out, re.M)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gradcheck_end_to_end_fails_without_its_pinned_bandwidth(monkeypatch, seed):
+    # the auto bandwidth moves with the parameters but takes no gradient, so
+    # training does not follow its objective's gradient. Putting the
+    # bandwidth on the tape (ROADMAP item 2, step B) flips this test; the
+    # pin and this test then go
+    monkeypatch.setattr(gradcheck, "END_TO_END_CONFIG", TrainConfig())
+    case = next(c for c in gradcheck.build_cases(seed) if c.name == "end_to_end")
+    assert gradcheck.run_case(case).max_rel_err > gradcheck.END_TO_END_TOL
 
 
 def test_gradcheck_flags_a_broken_gradient(monkeypatch, capsys):
@@ -522,7 +545,8 @@ def test_gradcheck_flags_a_broken_gradient(monkeypatch, capsys):
     def constant_route(seed=0):
         def build(tape, leaves):
             detached = tape.leaf(leaves[0].value * 2.0, "detached")
-            return tape.constant(np.ones((1, 2))) @ detached @ tape.constant(np.ones((2, 1)))
+            return ops.matmul(ops.matmul(tape.constant(np.ones((1, 2))), detached),
+                              tape.constant(np.ones((2, 1))))
         return [CheckCase("broken", [np.ones((2, 2))], build, 1e-4)]
 
     monkeypatch.setattr("bjda.gradcheck.build_cases", constant_route)

@@ -1,8 +1,10 @@
 """The README stays in step with the package."""
+import inspect
 import json
 import re
 from pathlib import Path
 
+from bjda import autodiff as ad
 from bjda import gradcheck
 from bjda.cli import emit_config, main
 from bjda.data import SynthSpec, gen_rotated_blobs, save_csv
@@ -24,6 +26,15 @@ def test_readme_gradcheck_count_matches_the_audit():
     readme = (ROOT / "README.md").read_text()
     counts = re.findall(r"all (\d+) tape gradients", readme)
     assert counts == [str(len(gradcheck.build_cases()))]
+
+
+def test_readme_supported_ops_are_exactly_the_autodiff_ops_with_an_adjoint():
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    sentence = re.search(r"Supported ops are (.*?)\. ", readme).group(1)
+    held = {name for name, f in vars(ad).items()
+            if inspect.isfunction(f) and f.__module__ == ad.__name__
+            and any(getattr(c, "co_name", None) == "backward" for c in f.__code__.co_consts)}
+    assert set(re.findall(r"`(\w+)`", sentence)) == held
 
 
 def test_readme_config_table_lists_exactly_the_emitted_keys_and_defaults():

@@ -8,7 +8,7 @@ import tape_ops as ops
 from bjda import autodiff as ad
 from bjda.autodiff import Tape
 from bjda.errors import ConfigError, DimensionError, InputError
-from bjda.kernels import (KernelSpec, _centered, _gram, _gram_node, closed_form_bures,
+from bjda.kernels import (KernelSpec, _centered, _gram, closed_form_bures,
                           exact_wasserstein_sq, gaussian_bandwidth,
                           kbw_sq, optimal_assignment, pairwise_sqdist_matrix)
 
@@ -121,28 +121,7 @@ def test_kbw_sq_mixed_value_and_array():
     tape = Tape()
     a = tape.leaf(np.ones((2, 2)))
     d = kbw_sq(a, np.zeros((3, 2)), KernelSpec(bandwidth_sq=1.0))
-    assert d.tape is tape and len(tape) == 5   # a, the array's leaf, three nodes
-
-
-@pytest.mark.parametrize("spec", [KernelSpec(), KernelSpec(bandwidth_sq=1.5),
-                                  KernelSpec("linear")], ids=["auto", "fixed", "linear"])
-def test_centered_gram_node_is_one_node_with_the_composed_gradient(spec):
-    rng = np.random.default_rng(10)
-    a, b, w = rng.normal(size=(5, 3)), rng.normal(size=(4, 3)), rng.normal(size=(5, 4))
-    spec = resolve(spec, gaussian_bandwidth(a, b))
-    grads = []
-    for fused in (True, False):
-        tape = Tape()
-        av, bv = tape.leaf(a), tape.leaf(b)
-        if fused:
-            k = _gram_node(av, bv, spec)
-            assert len(tape) == 3
-        else:
-            k = center_reference(gram_reference(av, bv, spec))
-        tape.backward(ops.sum_all(ops.hadamard(k, tape.constant(w))))
-        grads.append((k.value, av.grad, bv.grad))
-    for got, want in zip(*grads):
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+    assert d.tape is tape and len(tape) == 3   # a, the array's leaf, one node
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +195,8 @@ def resolve(spec, bandwidth_sq):
 def gram_reference(av, bv, spec):
     """Kernel matrix composed of tape ops: a matmul, or three Gaussian nodes."""
     if spec.kind == "linear":
-        return av @ ops.transpose(bv)
-    return ops.exp(ad.scale(ops.pairwise_sqdist(av, bv), -1.0 / spec.bandwidth_sq))
+        return ops.matmul(av, ops.transpose(bv))
+    return ops.exp(ops.scale(ops.pairwise_sqdist(av, bv), -1.0 / spec.bandwidth_sq))
 
 
 def center_reference(x):
@@ -238,10 +217,10 @@ def kbw_sq_reference(av, bv, spec):
     pooled = np.vstack([av.value, bv.value])
     mean = pairwise_sqdist_matrix(pooled, pooled).mean()
     spec = resolve(spec, mean if mean > 0.0 else 1.0)
-    term_a = ad.scale(ops.trace(center_reference(gram_reference(av, av, spec))), 1.0 / n)
-    term_b = ad.scale(ops.trace(center_reference(gram_reference(bv, bv, spec))), 1.0 / m)
-    coupling = ad.nuclear_norm(center_reference(gram_reference(av, bv, spec)))
-    dist_sq = ops.sub(term_a + term_b, ad.scale(coupling, 2.0 / np.sqrt(n * m)))
+    term_a = ops.scale(ops.trace(center_reference(gram_reference(av, av, spec))), 1.0 / n)
+    term_b = ops.scale(ops.trace(center_reference(gram_reference(bv, bv, spec))), 1.0 / m)
+    coupling = ops.nuclear_norm(center_reference(gram_reference(av, bv, spec)))
+    dist_sq = ops.sub(term_a + term_b, ops.scale(coupling, 2.0 / np.sqrt(n * m)))
     return ops.clamp_min(dist_sq, 0.0)
 
 
@@ -261,18 +240,22 @@ KBW_IDS = ["gaussian-auto", "gaussian-fixed", "linear"]
 
 @pytest.mark.parametrize("spec", KBW_SPECS, ids=KBW_IDS)
 def test_kbw_three_nodes_match_the_composed_reference(spec):
+    # kbw_sq's one node and the three-node form it replaced, the oracle it
+    # matches bit for bit in test_nodes
     rng = np.random.default_rng(12)
     for _ in range(40):
         n, m, d = (int(v) for v in rng.integers((2, 2, 1), (40, 40, 9)))
         a = rng.normal(size=(n, d)) * rng.uniform(0.2, 3.0)
         b = rng.normal(size=(m, d)) * rng.uniform(0.2, 3.0) + rng.uniform(-2.0, 2.0)
-        value, grad_a, grad_b, nodes = kbw_with_grads(kbw_sq, a, b, spec)
         ref_value, ref_a, ref_b, ref_nodes = kbw_with_grads(kbw_sq_reference, a, b, spec)
-        assert (nodes, ref_nodes) == (3, 18 if spec.kind == "linear" else 21)
-        assert value == pytest.approx(ref_value, rel=1e-12)
+        assert ref_nodes == (18 if spec.kind == "linear" else 21)
         scale = max(np.abs(ref_a).max(), np.abs(ref_b).max())
-        assert np.abs(grad_a - ref_a).max() <= 1e-10 * scale
-        assert np.abs(grad_b - ref_b).max() <= 1e-10 * scale
+        for op, want_nodes in ((kbw_sq, 1), (ops.kbw_sq_composed, 3)):
+            value, grad_a, grad_b, nodes = kbw_with_grads(op, a, b, spec)
+            assert nodes == want_nodes
+            assert value == pytest.approx(ref_value, rel=1e-12)
+            assert np.abs(grad_a - ref_a).max() <= 1e-10 * scale
+            assert np.abs(grad_b - ref_b).max() <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("spec", KBW_SPECS, ids=KBW_IDS)

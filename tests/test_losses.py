@@ -38,7 +38,7 @@ def loss_bytes(loss, x, *args, upstream=0.7):
     leaf = tape.leaf(x, "x")
     out = loss(leaf, *args)
     value, rest = (out[0], out[1:]) if isinstance(out, tuple) else (out, ())
-    tape.backward(ad.scale(value, upstream))
+    tape.backward(ops.scale(value, upstream))
     return value.value.tobytes(), rest, leaf.grad.tobytes()
 
 
@@ -136,7 +136,7 @@ def l_cls_reference(pred_probs, y_onehot):
     with the one-hot rows, the sum and the scale by -1/n."""
     logp = ops.log(ops.clamp_min(pred_probs, PROB_FLOOR))
     product = ops.hadamard(logp, pred_probs.tape.constant(y_onehot, "y_onehot"))
-    return ad.scale(ops.sum_all(product), -1.0 / pred_probs.shape[0])
+    return ops.scale(ops.sum_all(product), -1.0 / pred_probs.shape[0])
 
 
 @st.composite
@@ -409,11 +409,11 @@ def l_dmc_with_masks(g, labels, pred_probs, protos):
     pos_mask[rows, labels[valid]] = 1.0
     neg_mask[rows, neg_idx[valid]] = 1.0
     ones_c = tape.leaf(np.ones((c_count, 1)), "ones")
-    d_pos = ops.hadamard(dist, tape.leaf(pos_mask, "pos_mask")) @ ones_c
-    d_neg = ops.hadamard(dist, tape.leaf(neg_mask, "neg_mask")) @ ones_c
+    d_pos = ops.matmul(ops.hadamard(dist, tape.leaf(pos_mask, "pos_mask")), ones_c)
+    d_neg = ops.matmul(ops.hadamard(dist, tape.leaf(neg_mask, "neg_mask")), ones_c)
     margins = (entropy_margins(pred_probs) * valid).reshape(n, 1)
     hinge = ops.clamp_min(ops.sub(d_pos, d_neg) + tape.leaf(margins, "margins"), 0.0)
-    return ad.scale(ops.sum_all(hinge), 1.0 / (n - skipped)), skipped
+    return ops.scale(ops.sum_all(hinge), 1.0 / (n - skipped)), skipped
 
 
 @st.composite
@@ -517,10 +517,10 @@ def node_bytes(loss, inputs, *args, upstream, prior):
     leaves = [tape.leaf(x, f"in{i}") for i, x in enumerate(inputs)]
     out = loss(*leaves, *args)
     value, rest = (out[0], out[1:]) if isinstance(out, tuple) else (out, ())
-    root = ad.scale(value, upstream)
+    root = ops.scale(value, upstream)
     if prior is not None:
         for leaf in leaves:
-            root = root + ad.scale(ops.sum_all(leaf), prior)
+            root = root + ops.scale(ops.sum_all(leaf), prior)
     tape.backward(root)
     return value.value.tobytes(), rest, [leaf.grad.tobytes() for leaf in leaves]
 
@@ -595,8 +595,8 @@ def test_training_records_a_fixed_number_of_tape_nodes(monkeypatch):
     counts = []
     see_tapes(monkeypatch, lambda tape: counts.append(len(tape)))
     source, target = gen_rotated_blobs(SynthSpec(dim=6, per_class=40, shift_angle=40.0))
-    expected = {"full": 39, "no_dmc": 35, "wd": 32, "triplet": 39, "source_only": 25,
-                "no_da": 29}
+    expected = {"full": 22, "no_dmc": 20, "wd": 19, "triplet": 22, "source_only": 15,
+                "no_da": 18}
     seen = {}
     for variant in expected:
         for batch in (16, 64):
@@ -693,6 +693,15 @@ def test_total_rejects_negative_weights():
         total_objective(cls, None, None, -0.1, 0.3)
     with pytest.raises(ConfigError):
         total_objective(cls, None, None, 0.5, -1.0)
+
+
+def test_total_rejects_a_term_of_another_shape_or_tape():
+    tape = Tape()
+    cls = tape.leaf(np.array([[1.0]]), "cls")
+    with pytest.raises(DimensionError, match="total_objective"):
+        total_objective(cls, tape.leaf(np.ones((1, 2)), "da"), None, 0.5, 0.3)
+    with pytest.raises(InputError, match="different tapes"):
+        total_objective(cls, None, Tape().leaf(np.ones((1, 1)), "con"), 0.5, 0.3)
 
 
 # ---------------------------------------------------------------- protos
