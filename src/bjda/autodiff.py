@@ -10,20 +10,20 @@ valid evaluation order, and it keeps replays bitwise deterministic.
 
 The ops here are the ones training records between its own nodes: add, the
 row gather take and vstack. Every other node lives beside its arithmetic,
-and its adjoint replays the composed ops' adjoints on plain arrays in their
-tape order, so it gives their bits: model.dense (a layer or the head),
-kernels.kbw_sq (around nuclear_norm, a plain-array function here),
-losses.l_cls, l_dmc, l_trip and total_objective, and train's wd term.
+and its adjoint computes its operands' gradients directly on plain arrays:
+model.dense (a layer or the head), kernels.kbw_sq (around nuclear_norm, a
+plain-array function here), losses.l_cls, l_dmc, l_trip and
+total_objective, and train's wd term. Each gives the bits of the composed
+ops it stands for, by the zero-sign rule stated at _accumulate.
 
 Grad buffers are lazy: a node has none until the first adjoint reaches it,
-the first write stores 0.0 + delta (so -0.0 becomes +0.0, as in a
-zero-filled buffer), and backward skips every node without one. .grad
-reads as a zero matrix while there is none. Data goes on the tape as constants
-(Tape.constant): they take no gradient, an op whose operands are all
-constants records a constant, and no adjoint is computed for a constant
-operand, so training spends nothing on the gradient of its inputs. A leaf
-made with copy=False wraps the caller's array; the model's parameter leaves
-alias its tensors that way.
+and backward skips every node without one. .grad reads as a zero matrix
+while there is none. Data goes on the tape as constants (Tape.constant):
+they take no gradient, an op whose operands are all constants records a
+constant, and no adjoint is computed for a constant operand, so training
+spends nothing on the gradient of its inputs. A leaf made with copy=False
+wraps the caller's array; the model's parameter leaves alias its tensors
+that way.
 
 backward consumes its tape. When the reverse pass ends, the tape drops its
 node list, so it is freed by reference counting once the caller lets go of
@@ -223,11 +223,14 @@ def _join(a: Value, b: Value) -> Tape:
 
 
 def _accumulate(node: Value, delta: np.ndarray, owned: bool = False) -> None:
-    """node.grad += delta; a constant takes nothing.
+    """node.grad += delta; a constant takes nothing. owned says that delta is
+    a temporary of the caller's, which then becomes the buffer.
 
-    The first write stores 0.0 + delta: the bits of a zero-filled buffer
-    plus delta, signed zeros included. owned says that delta is a temporary
-    of the caller's, which then becomes the buffer.
+    The zero-sign rule: the first write stores 0.0 + delta, so no grad buffer
+    holds -0.0, and adding -0.0 to +0.0 gives +0.0. No adjoint divides by or
+    branches on a gradient, so a zero's sign inside an adjoint never reaches
+    a grad byte: an adjoint computes its gradients directly and still gives
+    the bits of the composed ops it replaces, whatever zeros they added.
     """
     if node.constant:
         return

@@ -228,6 +228,7 @@ def cmd_train(args) -> int:
     final_acc = metrics.records[-1].target_acc
     summary = {
         "final_target_accuracy": final_acc,
+        "final_per_class_accuracy": metrics.final_per_class,
         "proto_skips": metrics.proto_skips,
         "label_term_skips": metrics.label_term_skips,
         "dmc_target_skips": metrics.dmc_target_skips,

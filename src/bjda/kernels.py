@@ -164,19 +164,19 @@ def kbw_sq(a, b, spec: KernelSpec = KernelSpec(),
     so a Gaussian kernel without a fixed bandwidth gets one
     gaussian_bandwidth over the pooled rows of a and b.
 
-    The adjoint passes gradient only while the value is above 0. It replays
-    the adjoints of the three nodes it replaces, each first write + 0.0
-    included: the self terms' into a and then b, the nuclear norm's
-    subgradient U_r V_r^T (Ionescu et al., ICCV 2015) over the singular
-    triplets with sigma > EPS_RANK * sigma_max, then the centered Gram's
-    into a and b, centering the upstream gradient first (centering is
-    symmetric). Repeated singular values get no special handling; the
-    subgradient is still a valid element of the subdifferential.
+    The adjoint passes gradient only while the value is above 0. It adds
+    the self terms' gradients into a and then b, then the cross term's: the
+    nuclear norm's subgradient U_r V_r^T (Ionescu et al., ICCV 2015) over
+    the singular triplets with sigma > EPS_RANK * sigma_max, centered
+    (centering is symmetric) and taken through the cross-Gram into a and b.
+    Repeated singular values get no special handling; the subgradient is
+    still a valid element of the subdifferential. A plain-array sample goes
+    on the tape as a constant.
     """
     if tape is None:
         tape = a.tape if isinstance(a, Value) else (b.tape if isinstance(b, Value) else Tape())
-    av = a if isinstance(a, Value) else tape.leaf(a, "a")
-    bv = b if isinstance(b, Value) else tape.leaf(b, "b")
+    av = a if isinstance(a, Value) else tape.constant(a, "a")
+    bv = b if isinstance(b, Value) else tape.constant(b, "b")
     n, m = av.shape[0], bv.shape[0]
     if n < 2 or m < 2:
         raise InputError(f"kbw_sq: need at least 2 rows per sample, got n={n}, m={m}")
@@ -204,7 +204,7 @@ def kbw_sq(a, b, spec: KernelSpec = KernelSpec(),
         if s[0] <= 0.0:
             return   # a zero cross-Gram matrix: subgradient 0
         keep = s > EPS_RANK * s[0]
-        d_gram = (g * -weight + 0.0)[0, 0] * (u[:, keep] @ vt[keep, :]) + 0.0
+        d_gram = g[0, 0] * -weight * (u[:, keep] @ vt[keep, :])
         dx, dy = _gram_adjoint(x, y, k_xy, spec, _centered(d_gram))
         ad._accumulate(av, dx, owned=True)
         ad._accumulate(bv, dy, owned=True)

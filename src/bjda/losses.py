@@ -98,8 +98,6 @@ def l_cls(pred_probs: Value, y_onehot: np.ndarray) -> Value:
 
     Probabilities are clamped at 1e-12 before the log, so saturated softmax
     outputs cannot produce infinities; gradient passes only where p > 1e-12.
-    The adjoint replays the clamp's, log's, product's, sum's and scale's,
-    each first write + 0.0 included, so it gives the composed form's bits.
     """
     n, c = pred_probs.shape
     y = ad.as_matrix(y_onehot, "y_onehot")
@@ -112,9 +110,7 @@ def l_cls(pred_probs: Value, y_onehot: np.ndarray) -> Value:
     k = -1.0 / n
 
     def backward(grad):
-        d_sum = np.full((n, c), (grad * k + 0.0)[0, 0]) + 0.0
-        d_log = (d_sum * y + 0.0) / clamped + 0.0
-        ad._accumulate(pred_probs, d_log * (p > PROB_FLOOR), owned=True)
+        ad._accumulate(pred_probs, grad[0, 0] * k * y / clamped * (p > PROB_FLOOR), owned=True)
 
     value = np.array([[(np.log(clamped) * y).sum()]]) * k
     return pred_probs.tape._record(value, backward, pred_probs)
@@ -136,10 +132,10 @@ def l_dmc(g: Value, labels: np.ndarray, pred_probs: np.ndarray,
     skipped; the skip count is returned.
     Ties in the min go to the lowest class index.
 
-    One tape node. Its adjoint replays the scale's, sum's, clamp's at 0,
-    difference's, the two picks' (the negative's first) and the square
-    root's, each first write + 0.0 included, then the distances' row adjoint
-    into g, so it gives the composed form's bits.
+    One tape node. Its adjoint gives each active row's distance to its own
+    prototype the upstream gradient over the row count, and its distance to
+    the negative that gradient negated, and takes both through the square
+    root and the distances into g.
     """
     n = g.shape[0]
     labels = np.asarray(labels)
@@ -177,13 +173,12 @@ def l_dmc(g: Value, labels: np.ndarray, pred_probs: np.ndarray,
     k = 1.0 / (n - skipped)
 
     def backward(grad):
-        d_arg = (np.full((n, 1), (grad * k + 0.0)[0, 0]) + 0.0) * (arg > 0.0) + 0.0
-        # the margins' add passes d_arg on as d_arg + 0.0, which is d_arg
+        d_arg = grad[0, 0] * k * (arg[:, 0] > 0.0)
         d_dist = np.zeros_like(dist)
-        np.add.at(d_dist, (rows, neg_cols), (-d_arg + 0.0)[:, 0])
-        np.add.at(d_dist, (rows, labels), (d_arg + 0.0)[:, 0])
+        d_dist[rows, neg_cols] = -d_arg
+        d_dist[rows, labels] = d_arg   # a skipped row's d_arg is 0
         with np.errstate(divide="ignore"):
-            d_sq = d_dist * np.where(sq > 0.0, 0.5 / dist, 0.0) + 0.0
+            d_sq = d_dist * np.where(sq > 0.0, 0.5 / dist, 0.0)
         ad._accumulate(g, 2.0 * (d_sq.sum(axis=1, keepdims=True) * gv - d_sq @ protos_v),
                        owned=True)
 
@@ -263,10 +258,9 @@ def l_trip(g: Value, labels: np.ndarray, margin: float) -> tuple[Value, int]:
     against the mean cross-entropy grows with the batch. A batch with fewer
     than two classes contributes 0; the second return flags that case.
 
-    One tape node. Its adjoint replays the hinge's (the upstream gradient
-    times triplet_hinge's counts), the square root's, then the distances'
-    row adjoint into g, the first operand's side and then the second's, each
-    first write + 0.0 included, so it gives the composed form's bits.
+    One tape node. Its adjoint takes the upstream gradient times
+    triplet_hinge's counts through the square root, then through the
+    distances into g, the anchors' side and then the other side.
     """
     margin = float(margin)
     if not 0.0 <= margin < np.inf:
@@ -284,7 +278,7 @@ def l_trip(g: Value, labels: np.ndarray, margin: float) -> tuple[Value, int]:
 
     def backward(grad):
         with np.errstate(divide="ignore"):
-            d_sq = (grad[0, 0] * counts + 0.0) * np.where(sq > 0.0, 0.5 / dist, 0.0) + 0.0
+            d_sq = grad[0, 0] * counts * np.where(sq > 0.0, 0.5 / dist, 0.0)
         ad._accumulate(g, 2.0 * (d_sq.sum(axis=1, keepdims=True) * gv - d_sq @ gv), owned=True)
         ad._accumulate(g, 2.0 * (d_sq.sum(axis=0)[:, None] * gv - d_sq.T @ gv), owned=True)
 
@@ -295,9 +289,9 @@ def total_objective(cls_term: Value, da_term: Value | None, con_term: Value | No
                     lambda1: float, lambda2: float) -> Value:
     """Weighted sum cls + lambda1 * da + lambda2 * con of whichever terms
     exist, as one tape node; cls_term itself when neither does. The adjoint
-    replays the scales' and adds' in their tape order (the last term's, cls's,
-    then the first term's), each first write + 0.0 included, so it gives the
-    composed form's bits."""
+    adds the upstream gradient times each weight (1 for cls) into its term,
+    in the order the composed form's adds reach them: the last term, cls,
+    then the first term."""
     lambda1 = float(lambda1)
     lambda2 = float(lambda2)
     if lambda1 < 0.0 or lambda2 < 0.0:
@@ -311,13 +305,10 @@ def total_objective(cls_term: Value, da_term: Value | None, con_term: Value | No
         if term.shape != cls_term.shape:
             raise DimensionError(f"total_objective: shapes differ, {cls_term.shape} vs {term.shape}")
         value = value + term.value * weight
-    (first, first_weight), *rest = terms
+    order = [*reversed(terms[1:]), (cls_term, 1.0), terms[0]]
 
     def backward(g):
-        g = g + 0.0   # the adds pass g on as g + 0.0
-        for term, weight in reversed(rest):
+        for term, weight in order:
             ad._accumulate(term, g * weight, owned=True)
-        ad._accumulate(cls_term, g)
-        ad._accumulate(first, g * first_weight, owned=True)
 
     return cls_term.tape._record(value, backward, cls_term, *(t for t, _ in terms))

@@ -117,10 +117,10 @@ def dense(x: Value, w: Value, b: Value, act: str | None = None,
     """One tape node for act(x W + b), act None, "leaky" (LEAKY_SLOPE) or
     "softmax" over rows; xw, when given, is x W, already computed.
 
-    The adjoint replays the activation's, the row-vector add's (b takes the
-    column sums) and the product's adjoints, each first write + 0.0
-    included, so it gives their bits. When x takes a gradient, the tape's
-    helper computes x^T d while the caller computes d W^T.
+    The adjoint takes d, the gradient at x W + b, through the activation;
+    b gets d's column sums, W gets x^T d and x gets d W^T. When x takes a
+    gradient, the tape's helper computes x^T d while the caller computes
+    d W^T.
     """
     tape = _fit(x, w, b)
     work = x.shape[0] * x.shape[1] * w.shape[1]
@@ -140,8 +140,7 @@ def dense(x: Value, w: Value, b: Value, act: str | None = None,
         elif act == "softmax":   # ds_ij/dz_ik = s_ij (delta_jk - s_ik)
             d = out * (g - (g * out).sum(axis=1, keepdims=True))
         else:
-            d = g.copy()
-        d += 0.0   # the add passes d on to the product as d + 0.0, which is d
+            d = g
         ad._accumulate(b, d.sum(axis=0, keepdims=True), owned=True)
         if x.constant:
             ad._accumulate(w, x.value.T @ d, owned=True)

@@ -146,6 +146,7 @@ class RunMetrics:
     dmc_target_skips: int = 0     # iterations whose margin loss lost its target rows
     trip_degenerate: int = 0      # single-class batches seen by the triplet loss
     train_threads: int = 1        # 2 once the run's helper ran a job, else 1
+    final_per_class: dict[int, float] | None = None  # class -> the final model's accuracy
 
     def to_jsonl(self) -> str:
         lines = []
@@ -280,10 +281,10 @@ def _wd_loss(g_s: Value, g_t: Value, y_s_1h: np.ndarray, probs_t: Value) -> Valu
 
     One assignment is solved on the summed feature and label squared-distance
     matrices; the loss is the mean matched cost, so gradients flow through
-    the matched pairs only. The adjoint replays the composed form's: the
-    scale's, the add's and the sums', the matched entries' scatter into an
-    n x n zero matrix, then the distances' adjoints into probs_t, g_s and
-    g_t, in that order, so it gives the composed form's bits.
+    the matched pairs only. The adjoint reads the matched rows in O(n d):
+    with v the upstream gradient over n and inv = argsort(cols), g_s takes
+    2 (v g_s - v g_t[cols]), g_t 2 (v g_t - v g_s[inv]) and probs_t
+    2 (v probs_t - v y_s[inv]).
     """
     gs, gt, pt = g_s.value, g_t.value, probs_t.value
     feat = ad.pairwise_sqdist_matrix(gs, gt)
@@ -293,11 +294,11 @@ def _wd_loss(g_s: Value, g_t: Value, y_s_1h: np.ndarray, probs_t: Value) -> Valu
     k = 1.0 / rows.shape[0]
 
     def backward(grad):
-        d = np.zeros(feat.shape)
-        d[rows, cols] = (grad * k + 0.0)[0, 0]   # distinct pairs: 0.0 + x, as np.add.at
-        ad._accumulate(probs_t, 2.0 * (d.sum(axis=0)[:, None] * pt - d.T @ y_s_1h), owned=True)
-        ad._accumulate(g_s, 2.0 * (d.sum(axis=1, keepdims=True) * gs - d @ gt), owned=True)
-        ad._accumulate(g_t, 2.0 * (d.sum(axis=0)[:, None] * gt - d.T @ gs), owned=True)
+        v = grad[0, 0] * k
+        inv = np.argsort(cols)
+        ad._accumulate(probs_t, 2.0 * (v * pt - v * y_s_1h[inv]), owned=True)
+        ad._accumulate(g_s, 2.0 * (v * gs - v * gt[cols]), owned=True)
+        ad._accumulate(g_t, 2.0 * (v * gt - v * gs[inv]), owned=True)
 
     value = (np.array([[feat[rows, cols].sum()]]) + label[rows, cols].sum()) * k
     return g_s.tape._record(value, backward, g_s, g_t, probs_t)
@@ -461,7 +462,8 @@ def train(source: Dataset, target: Dataset,
             target_acc = None
             if has_target_labels and (it % cfg.eval_every == 0 or it == cfg.t_max):
                 held = None  # evaluate's buffers take the grads' place
-                target_acc = evaluate(params, target, helper=helper).accuracy
+                result = evaluate(params, target, helper=helper)
+                target_acc, metrics.final_per_class = result.accuracy, result.per_class
 
             metrics.records.append(IterationRecord(it, breakdown, target_acc, pl_accept))
         metrics.train_threads = 2 if helper is not None and helper.used else 1

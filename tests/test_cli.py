@@ -17,7 +17,7 @@ from bjda.data import SynthSpec, gen_rotated_blobs, load_csv, save_csv
 from bjda.errors import ConfigError, NumericalError
 from bjda.gradcheck import CheckCase
 from bjda.model import hard_pseudo_labels, load_checkpoint, predict_probs
-from bjda.train import TrainConfig
+from bjda.train import VARIANTS, TrainConfig, evaluate
 
 FAST = ["--set", "hidden_dim=16", "--set", "feat_dim=8", "--set", "t_max=6",
         "--set", "batch_source=12", "--set", "batch_target=12",
@@ -101,7 +101,8 @@ def test_train_writes_all_artifacts(data_dir, tmp_path, capsys, monkeypatch):
     assert params.dims.classes == 3
 
     summary = json.loads((out / "summary.json").read_text())
-    assert set(summary) == {"final_target_accuracy", "proto_skips", "label_term_skips",
+    assert set(summary) == {"final_target_accuracy", "final_per_class_accuracy",
+                            "proto_skips", "label_term_skips",
                             "dmc_target_skips", "trip_degenerate", "train_threads", "config",
                             "wall_clock_seconds", "load_seconds", "numpy_version", "blas",
                             "blas_threads_env"}
@@ -152,18 +153,28 @@ def _train_on_cpus(cpus, blobs_dir, out, monkeypatch, capsys, keys):
     return code, err, files, json.loads((out / "summary.json").read_text())["train_threads"]
 
 
-@pytest.mark.parametrize("variant", ["full", "wd", "no_da", "no_dmc", "source_only", "triplet"])
+# perfbench's regime. Within 40 iterations at the default lr no target row
+# of a 128/64 model passes the gate, so the label term and the margin loss's
+# target rows are skipped, except under triplet, whose features grow: some
+# of its rows pass, and those go through take
+PL_REGIME = ["pl=true", "confidence_threshold=0.95", "proto_mode=ema"]
+
+
+@pytest.mark.parametrize("variant, regime",
+                         [pytest.param(v, [], id=v) for v in VARIANTS]
+                         + [pytest.param(v, PL_REGIME, id=f"{v}-pl") for v in VARIANTS])
 def test_train_writes_the_same_bytes_on_one_thread_and_two(blobs_dir, tmp_path, capsys,
-                                                         monkeypatch, variant):
+                                                         monkeypatch, variant, regime):
     # floor 0: with two CPUs every pair of products, SGD half and evaluate
     # chunk goes to the helper; triplet at lr 0.01 diverges at iteration 28
     monkeypatch.setattr(ad, "HELPER_FLOOR", 0)
+    diverges = variant == "triplet" and not regime
     keys = ["hidden_dim=128", "feat_dim=64", "t_max=40", "eval_every=20", f"variant={variant}"]
-    keys += ["lr=0.01"] if variant == "triplet" else []
+    keys += (["lr=0.01"] if diverges else []) + regime
     one, two = (_train_on_cpus(cpus, blobs_dir, tmp_path / f"cpus{cpus}", monkeypatch, capsys,
                                keys) for cpus in (1, 2))
     assert one[:3] == two[:3]
-    if variant == "triplet":
+    if diverges:
         assert one[0] == 4 and "at iteration 28; the run diverged" in one[1]
     else:
         assert one[0] == 0 and (one[3], two[3]) == (1, 2)
@@ -192,6 +203,19 @@ def test_reloaded_checkpoint_scores_the_summary_accuracy(data_dir, tmp_path, cap
     probs = predict_probs(load_checkpoint(out / "model.bin"), target.features)
     acc = float((hard_pseudo_labels(probs)[0] == target.labels).mean())
     assert acc == json.loads((out / "summary.json").read_text())["final_target_accuracy"]
+
+
+def test_summary_per_class_accuracy_is_the_saved_models(data_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--source", str(data_dir / "source.csv"),
+                 "--target", str(data_dir / "target.csv"),
+                 "--out", str(out)] + FAST) == 0
+    capsys.readouterr()
+    per_class = evaluate(load_checkpoint(out / "model.bin"),
+                         load_csv(data_dir / "target.csv")).per_class
+    assert len(per_class) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["final_per_class_accuracy"] == {str(c): acc for c, acc in per_class.items()}
 
 
 def test_train_config_file_with_set_overrides(data_dir, tmp_path):
@@ -234,6 +258,7 @@ def test_train_unlabeled_target_reports_no_accuracy(data_dir, tmp_path, capsys):
     assert "target accuracy n/a" in capsys.readouterr().out
     summary = json.loads((out / "summary.json").read_text())
     assert summary["final_target_accuracy"] is None
+    assert summary["final_per_class_accuracy"] is None
     assert all(json.loads(line)["target_acc"] is None
                for line in (out / "metrics.jsonl").read_text().splitlines())
 
@@ -526,6 +551,15 @@ def test_gradcheck_passes_and_lists_every_case(capsys):
     for name in ("layer_leaky", "layer_linear", "head", "objective", "l_cls", "l_dmc", "l_trip",
                  "wd", "end_to_end", "end_to_end_helper", "kbw_sq_gaussian", "kbw_sq_linear"):
         assert re.search(rf"^{name}\s+max rel err", out, re.M)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_gradcheck_passes_every_case_at_more_seeds(seed):
+    # every fused adjoint computes its gradient directly, so audit it past
+    # criterion 4's seed 0, at the same tolerances
+    results = gradcheck.run_all(seed)
+    assert len(results) == 16
+    assert [f"{r.name} {r.max_rel_err:.2e}" for r in results if not r.passed] == []
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -121,7 +121,7 @@ def test_kbw_sq_mixed_value_and_array():
     tape = Tape()
     a = tape.leaf(np.ones((2, 2)))
     d = kbw_sq(a, np.zeros((3, 2)), KernelSpec(bandwidth_sq=1.0))
-    assert d.tape is tape and len(tape) == 3   # a, the array's leaf, one node
+    assert d.tape is tape and len(tape) == 3   # a, the array as a constant, one node
 
 
 # ---------------------------------------------------------------------------

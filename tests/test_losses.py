@@ -608,6 +608,32 @@ def test_training_records_a_fixed_number_of_tape_nodes(monkeypatch):
     assert seen == {(v, b): {n} for v, n in expected.items() for b in (16, 64)}
 
 
+def test_no_grad_buffer_holds_a_negative_zero_after_a_training_backward(monkeypatch):
+    # the zero-sign rule (autodiff._accumulate) that lets every fused adjoint
+    # compute its gradients directly. With pl on, a 0.4 gate passes some of
+    # a 4-class batch's target rows, so take and its scatter run as well
+    real_backward = Tape.backward
+    checked, hits = [], []
+
+    def backward(tape, root):
+        nodes = list(tape._nodes)
+        real_backward(tape, root)
+        grads = [n._grad for n in nodes if n._grad is not None]
+        checked.append(len(grads))
+        hits.extend(int((np.signbit(g) & (g == 0.0)).sum()) for g in grads)
+
+    monkeypatch.setattr(Tape, "backward", backward)
+    source, target = gen_rotated_blobs(SynthSpec(dim=6, per_class=40, shift_angle=40.0))
+    for variant in VARIANTS:
+        for pl in ({}, {"pl": True, "confidence_threshold": 0.4, "proto_mode": "ema"}):
+            checked.clear()
+            train(source, target, TrainConfig(
+                variant=variant, hidden_dim=16, feat_dim=8, t_max=20, eval_every=20,
+                batch_source=16, batch_target=16, **pl))
+            assert len(checked) == 20 and min(checked) >= 10
+    assert sum(hits) == 0
+
+
 def test_the_tape_keeps_only_the_ops_training_records(monkeypatch):
     # every autodiff function that holds a nested adjoint shows up on a
     # training tape of some variant, with pl off or on
