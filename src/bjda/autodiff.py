@@ -34,31 +34,23 @@ Inference needs no tape at all: model.forward_probs repeats the layers'
 forward arithmetic on plain arrays (it shares leaky_relu_array and
 softmax_rows_array with them), so it gives the same bits.
 
-A tape may carry a Helper, one worker thread beside the caller's. both()
-runs two independent whole computations at once on it, the second on the
-worker, when their work reaches the helper's floor; offloads() is that rule,
-in one place. The model's layers use it for the two batches' products of
-one weight and for a layer's two adjoint products. Each result is the
-product the caller would have computed alone, and adjoints still accumulate
-in tape order, so a tape with a helper gives the same bits as one without.
+A tape may carry a helper, a one-worker ThreadPoolExecutor that train opens
+for a whole run or not at all. both() runs two independent whole
+computations at once, the second on the helper, whenever it is given one.
+The model's layers use it for the two batches' products of one weight and
+for a layer's two adjoint products. Each result is the product the caller
+would have computed alone, and adjoints still accumulate in tape order, so
+a tape with a helper gives the same bits as one without.
 """
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor
 from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionError, InputError, NumericalError
-
-# Work, in multiply-adds, below which both() keeps a job on the calling
-# thread. On 2 vCPUs with 1 BLAS thread one submit-and-wait round trip to the
-# helper took 18 us, a 64x128x64 product 15 us, 64x128x1024 206 us and
-# 64x1024x512 902 us. 2^22 keeps the helper away from every product at the
-# 128/64 widths and gives it those of the default 1024/512.
-HELPER_FLOOR = 1 << 22
-
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float64 array; 1-D input becomes a row vector."""
@@ -115,38 +107,13 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class Helper:
-    """One worker thread for both(), used as a with block: the thread starts
-    with the first job and is joined when the block ends. It sleeps on its
-    queue while it has no job, so it never spins. floor defaults to
-    HELPER_FLOOR; used turns True with the first job."""
-
-    def __init__(self, floor: int | None = None):
-        self.floor = HELPER_FLOOR if floor is None else floor
-        self.used = False
-        self._pool = ThreadPoolExecutor(max_workers=1)
-
-    def __enter__(self) -> "Helper":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._pool.shutdown(wait=True)
-
-
-def offloads(helper: Helper | None, work: int) -> bool:
-    """Whether both() hands a job of this work to helper, one at its floor."""
-    return helper is not None and work >= helper.floor
-
-
-def both(helper: Helper | None, work: int, first: Callable, second: Callable) -> tuple:
-    """(first(), second()). When offloads(helper, work), second runs on the
-    helper while the calling thread runs first; otherwise the caller runs
-    first, then second. The helper's job has ended when this returns or
-    raises."""
-    if not offloads(helper, work):
+def both(helper: Executor | None, first: Callable, second: Callable) -> tuple:
+    """(first(), second()). With a helper, second runs on it while the
+    calling thread runs first; without, the caller runs first, then second.
+    The helper's job has ended when this returns or raises."""
+    if helper is None:
         return first(), second()
-    helper.used = True
-    pending = helper._pool.submit(second)
+    pending = helper.submit(second)
     try:
         done = first()
     finally:
@@ -156,9 +123,9 @@ def both(helper: Helper | None, work: int, first: Callable, second: Callable) ->
 
 class Tape:
     """Append-only record of Values; owns backward traversal. helper, when
-    given, is the worker the nodes recorded on it may hand work with both()."""
+    given, is the worker the nodes recorded on it hand work with both()."""
 
-    def __init__(self, helper: Helper | None = None):
+    def __init__(self, helper: Executor | None = None):
         self._nodes: list[Value] = []
         self._consumed = False
         self.helper = helper

@@ -33,7 +33,7 @@ from .gradcheck import run_all
 from .kernels import (GAUSSIAN, KERNEL_KINDS, KernelSpec, closed_form_bures,
                       exact_wasserstein_sq, kbw_sq)
 from .model import save_checkpoint
-from .train import VARIANTS, TrainConfig, run_suite, train
+from .train import VARIANTS, RunMetrics, TrainConfig, run_suite, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -216,18 +216,33 @@ def cmd_train(args) -> int:
     cfg, source, target = _config_and_data(args)
     load = time.monotonic() - started
 
-    started = time.monotonic()
-    params, metrics = train(source, target, cfg)
-    wall = time.monotonic() - started
-
     out = Path(args.out)
+    started = time.monotonic()
+    try:
+        params, metrics = train(source, target, cfg)
+    except NumericalError as err:  # a diverged run leaves its records and why it stopped
+        _write_run(out, err.metrics, cfg, load, time.monotonic() - started, err)
+        (out / "model.bin").unlink(missing_ok=True)
+        raise
+    _write_run(out, metrics, cfg, load, time.monotonic() - started, None)
+    save_checkpoint(params, out / "model.bin")
+    final_acc = metrics.records[-1].target_acc
+    acc_text = "n/a" if final_acc is None else f"{final_acc:.4f}"
+    print(f"trained variant={cfg.variant} seed={cfg.seed} for {cfg.t_max} iterations; "
+          f"target accuracy {acc_text}")
+    return EXIT_OK
+
+
+def _write_run(out: Path, metrics: RunMetrics, cfg: TrainConfig, load: float, wall: float,
+               error: NumericalError | None) -> None:
+    """metrics.jsonl and summary.json of a run that finished (error None) or diverged."""
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.jsonl").write_text(metrics.to_jsonl())
-    save_checkpoint(params, out / "model.bin")
-    # train evaluated the final parameters whenever the target has labels
-    final_acc = metrics.records[-1].target_acc
     summary = {
-        "final_target_accuracy": final_acc,
+        "status": "ok" if error is None else "diverged",
+        "error": None if error is None else str(error),
+        # train evaluated the final parameters whenever the target has labels
+        "final_target_accuracy": metrics.records[-1].target_acc if metrics.records else None,
         "final_per_class_accuracy": metrics.final_per_class,
         "proto_skips": metrics.proto_skips,
         "label_term_skips": metrics.label_term_skips,
@@ -243,10 +258,6 @@ def cmd_train(args) -> int:
                              ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    acc_text = "n/a" if final_acc is None else f"{final_acc:.4f}"
-    print(f"trained variant={cfg.variant} seed={cfg.seed} for {cfg.t_max} iterations; "
-          f"target accuracy {acc_text}")
-    return EXIT_OK
 
 
 def _covariance(x: np.ndarray) -> np.ndarray:

@@ -35,4 +35,7 @@ class ValidationError(BjdaError):
 
 
 class NumericalError(BjdaError):
-    """A numerical routine failed (non-convergence, NaN loss, ...)."""
+    """A numerical routine failed (non-convergence, NaN loss, ...). One that
+    ends a train() run carries that run's RunMetrics as metrics."""
+
+    metrics = None

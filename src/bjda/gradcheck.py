@@ -7,8 +7,9 @@ the tape's adjoint rules: it only calls the scalar forward, perturbing one
 input entry at a time. Non-scalar node outputs are contracted against a fixed
 random weight matrix so the incoming adjoint is non-uniform. The end-to-end
 case runs the trainer's own objective, with the paired forward_g of a
-training step; end_to_end_helper runs it again on a tape whose helper takes
-every pair of products (floor 0), so the concurrent adjoints are audited too.
+training step; end_to_end_helper runs it again on a tape whose helper, a
+one-worker pool, takes every pair of products, as in a run that opens one,
+so the concurrent adjoints are audited too.
 
 Gaussian bandwidths are pinned inside the cases: the training losses treat
 the bandwidth (like the margin entropies, prototypes, and pseudo-labels) as
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -82,7 +84,7 @@ class CheckCase:
     inputs: list[np.ndarray]
     build: Callable[[Tape, Sequence[Value]], Value]
     tol: float
-    helper: bool = False   # the analytic pass runs on a tape with an autodiff.Helper at floor 0
+    helper: bool = False   # the analytic pass runs on a tape with a one-worker pool
 
 
 @dataclass
@@ -97,7 +99,7 @@ class CheckResult:
 
 
 def run_case(case: CheckCase) -> CheckResult:
-    with (ad.Helper(floor=0) if case.helper else contextlib.nullcontext()) as helper:
+    with ThreadPoolExecutor(max_workers=1) if case.helper else contextlib.nullcontext() as helper:
         tape = Tape(helper)
         leaves = [tape.leaf(x, f"in{i}") for i, x in enumerate(case.inputs)]
         out = case.build(tape, leaves)

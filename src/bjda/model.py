@@ -119,11 +119,10 @@ def dense(x: Value, w: Value, b: Value, act: str | None = None,
 
     The adjoint takes d, the gradient at x W + b, through the activation;
     b gets d's column sums, W gets x^T d and x gets d W^T. When x takes a
-    gradient, the tape's helper computes x^T d while the caller computes
-    d W^T.
+    gradient and the tape has a helper, the helper computes x^T d while the
+    caller computes d W^T.
     """
     tape = _fit(x, w, b)
-    work = x.shape[0] * x.shape[1] * w.shape[1]
     z = x.value @ w.value if xw is None else xw
     z += b.value
     if act == "leaky":
@@ -145,7 +144,7 @@ def dense(x: Value, w: Value, b: Value, act: str | None = None,
         if x.constant:
             ad._accumulate(w, x.value.T @ d, owned=True)
         else:
-            dx, dw = ad.both(tape.helper, work, lambda: d @ w.value.T, lambda: x.value.T @ d)
+            dx, dw = ad.both(tape.helper, lambda: d @ w.value.T, lambda: x.value.T @ d)
             ad._accumulate(x, dx, owned=True)
             ad._accumulate(w, dw, owned=True)
 
@@ -165,8 +164,7 @@ def forward_g(leaves: dict[str, Value], x_s: Value, x_t: Value) -> tuple[Value, 
     for w, b, act in ((leaves["w1"], leaves["b1"], "leaky"), (leaves["w2"], leaves["b2"], None)):
         for x in pair:
             _fit(x, w, b)
-        work = min(x.shape[0] for x in pair) * w.shape[0] * w.shape[1]
-        products = ad.both(w.tape.helper, work, lambda: pair[0].value @ w.value,
+        products = ad.both(w.tape.helper, lambda: pair[0].value @ w.value,
                            lambda: pair[1].value @ w.value)
         pair = tuple(dense(x, w, b, act, xw) for x, xw in zip(pair, products))
     return pair

@@ -8,14 +8,12 @@ pseudo-labels, assemble the variant's objective, backprop, and take one SGD
 step. All randomness comes from generators derived from cfg.seed, so a
 (config, data, seed) triple reproduces its metrics byte for byte.
 
-A train() call on the main thread with two usable CPUs opens one
-autodiff.Helper for its length and joins it before it returns or raises.
-Its tapes carry it, so the two batches' forward products and a layer's two
-adjoint products can run at once; the SGD step can hand it half a tensor's rows and
-evaluate half its chunks. autodiff.both gives it only work at its floor, so
-narrow runs on small targets stay on one thread. Each job computes what the
-caller would, so the bytes do not depend on the helper. run_suite's workers
-run off the main thread and open none.
+train() decides once per run, in _open_helper, whether it opens a helper:
+a one-worker thread pool, joined before train returns or raises. Its tapes
+carry it, so the two batches' forward products and a layer's two adjoint
+products run at once; the SGD step hands it half of each tensor's rows and
+evaluate half its chunks. Each job computes what the caller would, so the
+bytes do not depend on the helper.
 """
 from __future__ import annotations
 
@@ -24,7 +22,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field, fields, replace
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 
 import numpy as np
 
@@ -145,7 +143,7 @@ class RunMetrics:
     label_term_skips: int = 0     # iterations whose label-alignment term was skipped
     dmc_target_skips: int = 0     # iterations whose margin loss lost its target rows
     trip_degenerate: int = 0      # single-class batches seen by the triplet loss
-    train_threads: int = 1        # 2 once the run's helper ran a job, else 1
+    train_threads: int = 1        # 2 when the run opened a helper, else 1
     final_per_class: dict[int, float] | None = None  # class -> the final model's accuracy
 
     def to_jsonl(self) -> str:
@@ -192,13 +190,6 @@ class EpochSampler:
         return out
 
 
-# One entry of an SGD step costs about as much as 100 multiply-adds of a
-# product: on 2 vCPUs with 1 BLAS thread a 1024x512 tensor's step took
-# 1.49 ms, 2.8 ns an entry, and a 64x1024x512 product 0.027 ns a
-# multiply-add. So a tensor's step weighs 100 * size against the helper's
-# floor: the default widths' w1 and w2 are split, their head and biases not.
-SGD_ENTRY_MADDS = 100
-
 # Rows evaluate labels at a time, through the collapsed head where its
 # rounding bound proves them, else through one forward_probs call.
 EVAL_CHUNK = 1024
@@ -207,15 +198,15 @@ EVAL_CHUNK = 1024
 def sgd_update(theta: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
                lr: float, momentum: float, weight_decay: float,
                scratch: np.ndarray | None = None,
-               helper: ad.Helper | None = None) -> None:
+               helper: Executor | None = None) -> None:
     """In place: v <- momentum v + grad + weight_decay theta; theta <- theta - lr v.
 
     scratch, an array of theta's shape, holds the two products in turn, so a
-    caller that passes one allocates nothing here. For a tensor of two or
-    more rows whose step autodiff.offloads to the helper, the helper
-    updates the first half of the rows while the caller updates the rest;
-    both halves are done when this returns. The operations and their order
-    are the formula's for every entry either way, and so are the bits.
+    caller that passes one allocates nothing here. Given a helper, a tensor
+    of two or more rows has the first half of its rows updated there while
+    the caller updates the rest; both halves are done when this returns.
+    The operations and their order are the formula's for every entry either
+    way, and so are the bits.
     """
     if scratch is None:
         scratch = np.empty_like(theta)
@@ -228,11 +219,10 @@ def sgd_update(theta: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
 
     arrays = (theta, grad, velocity, scratch)
     half = theta.shape[0] // 2
-    work = theta.size * SGD_ENTRY_MADDS
-    if half == 0 or not ad.offloads(helper, work):
+    if half == 0 or helper is None:
         update(*arrays)
     else:
-        ad.both(helper, work, lambda: update(*(x[half:] for x in arrays)),
+        ad.both(helper, lambda: update(*(x[half:] for x in arrays)),
                 lambda: update(*(x[:half] for x in arrays)))
 
 
@@ -385,7 +375,7 @@ def objective(cfg: TrainConfig, g_s: Value, g_t: Value, probs_s: Value, probs_t:
 
 
 def _step(cfg: TrainConfig, params: ModelParams, scratch: dict[str, np.ndarray],
-          protos: Prototypes, metrics: RunMetrics, helper: ad.Helper | None, it: int,
+          protos: Prototypes, metrics: RunMetrics, helper: Executor | None, it: int,
           xs: np.ndarray, ys: np.ndarray,
           xt: np.ndarray) -> tuple[LossBreakdown, float | None, dict[str, Value]]:
     """One iteration: forward, objective, backward and SGD step, with the
@@ -420,7 +410,8 @@ def _step(cfg: TrainConfig, params: ModelParams, scratch: dict[str, np.ndarray],
 
 def train(source: Dataset, target: Dataset,
           cfg: TrainConfig = TrainConfig()) -> tuple[ModelParams, RunMetrics]:
-    """Run the adaptation loop; returns final parameters and per-iteration metrics."""
+    """Run the adaptation loop; returns final parameters and per-iteration
+    metrics. A NumericalError that ends the run carries them as .metrics."""
     cfg.validate()
     _check_pair(source, target)
 
@@ -451,36 +442,51 @@ def train(source: Dataset, target: Dataset,
     # ~400 page faults per iteration at 128/64 in some runs and almost none in
     # others, as the heap's layout falls.
     held = None
-    with _open_helper() as helper:
-        for it in range(1, cfg.t_max + 1):
-            idx_s = sampler_s.next()
-            idx_t = sampler_t.next()
-            breakdown, pl_accept, held = _step(cfg, params, scratch, protos, metrics, helper,
-                                               it, source.features[idx_s],
-                                               source.labels[idx_s], target.features[idx_t])
+    with _open_helper(drawn, params.dims) as helper:
+        metrics.train_threads = 1 if helper is None else 2
+        try:
+            for it in range(1, cfg.t_max + 1):
+                idx_s = sampler_s.next()
+                idx_t = sampler_t.next()
+                breakdown, pl_accept, held = _step(cfg, params, scratch, protos, metrics,
+                                                   helper, it, source.features[idx_s],
+                                                   source.labels[idx_s], target.features[idx_t])
 
-            target_acc = None
-            if has_target_labels and (it % cfg.eval_every == 0 or it == cfg.t_max):
-                held = None  # evaluate's buffers take the grads' place
-                result = evaluate(params, target, helper=helper)
-                target_acc, metrics.final_per_class = result.accuracy, result.per_class
+                target_acc = None
+                if has_target_labels and (it % cfg.eval_every == 0 or it == cfg.t_max):
+                    held = None  # evaluate's buffers take the grads' place
+                    result = evaluate(params, target, helper=helper)
+                    target_acc, metrics.final_per_class = result.accuracy, result.per_class
 
-            metrics.records.append(IterationRecord(it, breakdown, target_acc, pl_accept))
-        metrics.train_threads = 2 if helper is not None and helper.used else 1
+                metrics.records.append(IterationRecord(it, breakdown, target_acc, pl_accept))
+        except NumericalError as err:
+            err.metrics = metrics
+            raise
 
     return params, metrics
 
 
-def _open_helper() -> contextlib.AbstractContextManager:
-    """An autodiff.Helper for one train() call, or a context that gives None.
+# Multiply-adds of a run's larger extractor product on its smaller batch
+# from which the run opens a helper. On 2 vCPUs with 1 BLAS thread one
+# submit-and-wait round trip to the helper took 18 us, a 64x128x64 product
+# 15 us, 64x128x1024 206 us and 64x1024x512 902 us. 2^22 keeps the helper out
+# of every run at the 128/64 widths and gives it those of the default 1024/512.
+HELPER_FLOOR = 1 << 22
 
-    It opens on the main thread with two usable CPUs: run_suite's --jobs
-    workers already fill the CPUs, and cli._load_pair forks only while the
-    process runs one thread, as it does until the helper's first job and
-    again once the helper is joined.
+
+def _open_helper(drawn: tuple[int, int], dims: ModelDims) -> contextlib.AbstractContextManager:
+    """A one-worker pool for one train() call, or a context that gives None.
+
+    It opens on the main thread with two usable CPUs when min(drawn batch
+    sizes) x hidden x max(input_dim, feat) reaches HELPER_FLOOR. run_suite's
+    --jobs workers already fill the CPUs, and cli._load_pair forks only
+    while the process runs one thread, as it does until the pool's first job
+    and again once the pool is joined.
     """
-    if ad.usable_cpus() >= 2 and threading.current_thread() is threading.main_thread():
-        return ad.Helper()
+    work = min(drawn) * dims.hidden * max(dims.input_dim, dims.feat)
+    if (work >= HELPER_FLOOR and ad.usable_cpus() >= 2
+            and threading.current_thread() is threading.main_thread()):
+        return ThreadPoolExecutor(max_workers=1)
     return contextlib.nullcontext()
 
 
@@ -489,18 +495,18 @@ def _no_labels(data: Dataset) -> InputError:
 
 
 def evaluate(params: ModelParams, data: Dataset,
-             helper: ad.Helper | None = None) -> EvalResult:
+             helper: Executor | None = None) -> EvalResult:
     """Accuracy over the labeled rows; unlabeled rows are excluded and counted.
 
     Rows are labeled EVAL_CHUNK at a time with the argmax of forward_probs,
     the pass of predict_probs, so a reloaded checkpoint predicts the same
     labels: from the collapsed head h (W2 Wc) where a rounding bound proves
-    them, else from forward_probs on the whole chunk. autodiff.both runs the
-    second of two strided halves of the chunks on the helper, if it takes
-    that work, while the caller runs the first; each half reuses one
-    hidden-layer buffer. A chunk's arithmetic does not depend on its thread,
-    so neither do the predictions. A non-finite parameter raises
-    NumericalError naming it.
+    them, else from forward_probs on the whole chunk. Given a helper,
+    autodiff.both runs the second of two strided halves of the chunks there
+    while the caller runs the first; each half reuses one hidden-layer
+    buffer. A chunk's arithmetic does not depend on its thread, so neither
+    do the predictions. A non-finite parameter raises NumericalError naming
+    it.
     """
     check_finite(params, "evaluate")
     d = params.dims
@@ -546,10 +552,7 @@ def evaluate(params: ModelParams, data: Dataset,
             probs = forward_probs(t, x, h[:k])
             preds[start:start + k] = hard_pseudo_labels(probs)[0]
 
-    second = starts[1::2]
-    rows = sum(min(EVAL_CHUNK, n - start) for start in second)
-    work = rows * (d.input_dim * d.hidden + 2 * d.hidden * d.classes)
-    ad.both(helper, work, lambda: predict(starts[0::2]), lambda: predict(second))
+    ad.both(helper, lambda: predict(starts[0::2]), lambda: predict(starts[1::2]))
 
     labeled = data.labels >= 0
     n_unlabeled = int((~labeled).sum())

@@ -24,19 +24,18 @@ def _unary(a: Value, value: np.ndarray, adjoint) -> Value:
 
 def matmul(a: Value, b: Value) -> Value:
     """Matrix product. Adjoints: dA = g B^T, dB = A^T g; when both are
-    wanted, the tape's helper computes dB while the caller computes dA."""
+    wanted and the tape has a helper, the helper computes dB while the
+    caller computes dA."""
     tape = _join(a, b)
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    work = a.shape[0] * a.shape[1] * b.shape[1]
-
     def backward(g):
         if a.constant:
             _accumulate(b, a.value.T @ g, owned=True)
         elif b.constant:
             _accumulate(a, g @ b.value.T, owned=True)
         else:
-            da, db = both(tape.helper, work, lambda: g @ b.value.T, lambda: a.value.T @ g)
+            da, db = both(tape.helper, lambda: g @ b.value.T, lambda: a.value.T @ g)
             _accumulate(a, da, owned=True)
             _accumulate(b, db, owned=True)
 

@@ -19,6 +19,8 @@ from bjda.gradcheck import CheckCase
 from bjda.model import hard_pseudo_labels, load_checkpoint, predict_probs
 from bjda.train import VARIANTS, TrainConfig, evaluate
 
+train_module = importlib.import_module("bjda.train")
+
 FAST = ["--set", "hidden_dim=16", "--set", "feat_dim=8", "--set", "t_max=6",
         "--set", "batch_source=12", "--set", "batch_target=12",
         "--set", "eval_every=3"]
@@ -101,12 +103,13 @@ def test_train_writes_all_artifacts(data_dir, tmp_path, capsys, monkeypatch):
     assert params.dims.classes == 3
 
     summary = json.loads((out / "summary.json").read_text())
-    assert set(summary) == {"final_target_accuracy", "final_per_class_accuracy",
+    assert set(summary) == {"status", "error", "final_target_accuracy", "final_per_class_accuracy",
                             "proto_skips", "label_term_skips",
                             "dmc_target_skips", "trip_degenerate", "train_threads", "config",
                             "wall_clock_seconds", "load_seconds", "numpy_version", "blas",
                             "blas_threads_env"}
-    assert summary["train_threads"] == 1  # 16/8 wide: every product is under the floor
+    assert summary["status"] == "ok" and summary["error"] is None
+    assert summary["train_threads"] == 1  # 16/8 wide: under the floor, the run opens no pool
     assert 0.0 <= summary["final_target_accuracy"] <= 1.0
     assert summary["final_target_accuracy"] == json.loads(lines[-1])["target_acc"]
     assert summary["config"]["variant"] == "full"
@@ -167,7 +170,7 @@ def test_train_writes_the_same_bytes_on_one_thread_and_two(blobs_dir, tmp_path, 
                                                          monkeypatch, variant, regime):
     # floor 0: with two CPUs every pair of products, SGD half and evaluate
     # chunk goes to the helper; triplet at lr 0.01 diverges at iteration 28
-    monkeypatch.setattr(ad, "HELPER_FLOOR", 0)
+    monkeypatch.setattr(train_module, "HELPER_FLOOR", 0)
     diverges = variant == "triplet" and not regime
     keys = ["hidden_dim=128", "feat_dim=64", "t_max=40", "eval_every=20", f"variant={variant}"]
     keys += (["lr=0.01"] if diverges else []) + regime
@@ -180,9 +183,35 @@ def test_train_writes_the_same_bytes_on_one_thread_and_two(blobs_dir, tmp_path, 
         assert one[0] == 0 and (one[3], two[3]) == (1, 2)
 
 
+def test_a_diverged_run_leaves_its_records_and_a_summary_but_no_model(blobs_dir, tmp_path,
+                                                                      capsys):
+    # the triplet run above, which diverges at iteration 28, against the same
+    # config stopped at 27 iterations. Every 9th iteration is evaluated, so
+    # iteration 27's record holds an accuracy in both runs
+    keys = ["hidden_dim=128", "feat_dim=64", "eval_every=9", "variant=triplet", "lr=0.01"]
+    runs = {}
+    for t_max in (40, 27):
+        out = tmp_path / f"t{t_max}"
+        out.mkdir()
+        (out / "model.bin").write_bytes(b"an earlier run's model")
+        code = main(["train", "--source", str(blobs_dir / "source.csv"),
+                     "--target", str(blobs_dir / "target.csv"), "--out", str(out)]
+                    + [arg for key in keys + [f"t_max={t_max}"] for arg in ("--set", key)])
+        summary = json.loads((out / "summary.json").read_text())
+        runs[t_max] = code, capsys.readouterr().err, (out / "metrics.jsonl").read_bytes(), summary
+    message = "feature magnitudes blew up at iteration 28; the run diverged"
+    code, err, records, summary = runs[40]
+    assert (code, err) == (4, f"numerical error: {message}\n")
+    assert not (tmp_path / "t40" / "model.bin").exists()
+    assert (summary["status"], summary["error"]) == ("diverged", message)
+    assert runs[27][0] == 0 and (runs[27][3]["status"], runs[27][3]["error"]) == ("ok", None)
+    assert len(records.splitlines()) == 27 and records == runs[27][2]
+    assert summary["final_target_accuracy"] == runs[27][3]["final_target_accuracy"]
+
+
 def test_the_pair_load_forks_again_after_an_in_process_train(blobs_dir, tmp_path, capsys,
                                                              monkeypatch):
-    monkeypatch.setattr(ad, "HELPER_FLOOR", 0)
+    monkeypatch.setattr(train_module, "HELPER_FLOOR", 0)
     monkeypatch.setattr(cli, "PAIR_FORK_FLOOR", 0)
     monkeypatch.setattr(ad, "usable_cpus", lambda: 2)
     paths = (blobs_dir / "source.csv", blobs_dir / "target.csv")

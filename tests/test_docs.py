@@ -1,4 +1,5 @@
 """The README stays in step with the package."""
+import importlib
 import inspect
 import json
 import re
@@ -66,3 +67,27 @@ def test_readme_names_exactly_the_summary_keys_bjda_train_writes(tmp_path, capsy
     written = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert len(documented) == len(set(documented))
     assert set(documented) == set(written)
+
+
+# README names files (`model.bin`) and other libraries (`os.fork`) the same way
+FILE_SUFFIXES = {"bin", "csv", "json", "jsonl", "md", "py", "toml"}
+OTHER_ROOTS = {"np", "os"}
+
+
+def test_readme_names_only_package_attributes_that_exist():
+    readme = (ROOT / "README.md").read_text()
+    refs = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", readme))
+    checked, missing = 0, []
+    for ref in sorted(refs):
+        parts = ref.split(".")
+        if parts[0] in OTHER_ROOTS or (len(parts) == 2 and parts[1] in FILE_SUFFIXES):
+            continue
+        path = parts[1:] if parts[0] == "bjda" else parts
+        try:
+            obj = importlib.import_module(f"bjda.{path[0]}")
+            for name in path[1:]:
+                obj = getattr(obj, name)
+        except (ImportError, AttributeError):
+            missing.append(ref)
+        checked += 1
+    assert checked >= 10 and missing == []

@@ -1,8 +1,9 @@
 """Each node that training records in one piece against the tape_ops
 oracles it replaced: its value and every leaf's gradient equal the
-composition's bit for bit, on a plain tape and on one whose helper takes
-every pair of products (floor 0)."""
+composition's bit for bit, on a plain tape and on one whose helper, a
+one-worker pool, takes every pair of products."""
 import contextlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tape_ops as ops
-from bjda import autodiff as ad
 from bjda.autodiff import Tape
 from bjda.errors import DimensionError
 from bjda.kernels import KernelSpec, kbw_sq
@@ -22,14 +22,14 @@ WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.3]), st.floats(-1e3
 EXAMPLES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
-def run(build, inputs, constant, upstreams, prior, floor):
+def run(build, inputs, constant, upstreams, prior, pooled):
     """The bytes of build's outputs and of each input's gradient after a
     backward pass from the sum of <output, upstream> over the outputs. Inputs
     marked constant go on the tape as constants. With prior, prior * (the
     sum of every input's entries) joins the root after the outputs, so its
-    gradient reaches the inputs first. floor, when not None, gives the tape
-    a helper at that floor."""
-    with contextlib.nullcontext() if floor is None else ad.Helper(floor=floor) as helper:
+    gradient reaches the inputs first. pooled gives the tape a one-worker
+    pool as its helper."""
+    with ThreadPoolExecutor(max_workers=1) if pooled else contextlib.nullcontext() as helper:
         tape = Tape(helper)
         values = [tape.constant(x) if c else tape.leaf(x) for x, c in zip(inputs, constant)]
         outs = build(*values)
@@ -46,9 +46,9 @@ def run(build, inputs, constant, upstreams, prior, floor):
 
 
 def assert_same_bits(fused, composed, inputs, constant, upstreams, prior):
-    for floor in (None, 0):
-        want = run(composed, inputs, constant, upstreams, prior, floor)
-        assert run(fused, inputs, constant, upstreams, prior, floor) == want
+    for pooled in (False, True):
+        want = run(composed, inputs, constant, upstreams, prior, pooled)
+        assert run(fused, inputs, constant, upstreams, prior, pooled) == want
 
 
 def grid(draw, rng, shape):

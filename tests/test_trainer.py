@@ -364,7 +364,7 @@ def test_no_thread_outlives_train(monkeypatch):
     # floor 0 and two CPUs: every train() call opens a helper thread and
     # gives it every pair of products, SGD half and evaluate half
     from dataclasses import replace
-    monkeypatch.setattr(ad, "HELPER_FLOOR", 0)
+    monkeypatch.setattr(train_module, "HELPER_FLOOR", 0)
     monkeypatch.setattr(ad, "usable_cpus", lambda: 2)
     source, target = small_pair()
     before = threading.active_count()
@@ -377,7 +377,7 @@ def test_no_thread_outlives_train(monkeypatch):
 
 
 def test_no_helper_off_the_main_thread_or_on_one_cpu(monkeypatch):
-    monkeypatch.setattr(ad, "HELPER_FLOOR", 0)
+    monkeypatch.setattr(train_module, "HELPER_FLOOR", 0)
     source, target = small_pair()
     monkeypatch.setattr(ad, "usable_cpus", lambda: 1)
     assert train(source, target, BASE)[1].train_threads == 1
@@ -386,22 +386,41 @@ def test_no_helper_off_the_main_thread_or_on_one_cpu(monkeypatch):
         assert pool.submit(train, source, target, BASE).result()[1].train_threads == 1
 
 
+def test_a_run_opens_a_pool_once_its_drawn_batches_reach_the_floor(monkeypatch):
+    # 60 rows a side cap batches of 100 at 60: 60 x 16 x max(6, 4) = 5760
+    # multiply-adds, where the config's 100 would give 9600
+    from dataclasses import replace
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 2)
+    source, target = small_pair()
+    cfg = replace(BASE, feat_dim=4, batch_source=100, batch_target=100, t_max=3)
+    for floor, threads in ((5760, 2), (5761, 1)):
+        monkeypatch.setattr(train_module, "HELPER_FLOOR", floor)
+        assert train(source, target, cfg)[1].train_threads == threads
+
+
+@pytest.mark.parametrize("per_class, threads", [(3, 1), (4, 2)])
+def test_a_wide_run_whose_sampler_caps_the_batch_opens_a_pool_from_the_floor(
+        monkeypatch, per_class, threads):
+    # at the default 1024/512 widths the samplers cap 64 at the 2 x per_class
+    # rows: 8 x 1024 x 512 multiply-adds are the floor, 2^22; 6 rows fall under it
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 2)
+    source, target = gen_rotated_blobs(SynthSpec(classes=2, dim=6, per_class=per_class))
+    assert train(source, target, TrainConfig(t_max=2))[1].train_threads == threads
+
+
 def _run_bytes(run) -> tuple[str, bytes]:
     params, metrics = run
     return metrics.to_jsonl(), b"".join(params.tensors[n].tobytes() for n in PARAM_NAMES)
 
 
-@pytest.mark.parametrize("per_class, threads", [(525, 2), (200, 1)])
-def test_evaluate_alone_can_put_a_narrow_run_on_two_threads(monkeypatch, per_class, threads):
-    # 128/64 wide on 32 dims and 4 classes: every step product and SGD step
-    # is under the helper's floor. A 2100-row target's second evaluate half
-    # is one 1024-row chunk of 5.2 M multiply-adds, over it; an 800-row
-    # target has no second half, and the helper's thread never starts.
+@pytest.mark.parametrize("per_class", [200, 525])
+def test_a_narrow_run_opens_no_pool_whatever_its_target_rows(monkeypatch, per_class):
+    # 128/64 wide on 32 dims and 4 classes: 64 x 128 x 64 multiply-adds are
+    # under the floor, so neither an 800-row nor a 2100-row target, whose
+    # evaluate has a second half of chunks, starts a thread
     source, target = gen_rotated_blobs(SynthSpec(classes=4, dim=32, per_class=per_class,
                                                  shift_angle=40.0, noise_sigma=0.25))
     cfg = TrainConfig(hidden_dim=128, feat_dim=64, t_max=20, eval_every=10)
-    monkeypatch.setattr(ad, "usable_cpus", lambda: 1)
-    alone = _run_bytes(train(source, target, cfg))
     monkeypatch.setattr(ad, "usable_cpus", lambda: 2)
     started = []
     thread_start = threading.Thread.start
@@ -411,11 +430,7 @@ def test_evaluate_alone_can_put_a_narrow_run_on_two_threads(monkeypatch, per_cla
         thread_start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", start)
-    before = threading.active_count()
-    params, metrics = train(source, target, cfg)
-    assert threading.active_count() == before
-    assert metrics.train_threads == threads and len(started) == threads - 1
-    assert _run_bytes((params, metrics)) == alone
+    assert train(source, target, cfg)[1].train_threads == 1 and started == []
 
 
 def test_sgd_update_returns_with_the_helpers_half_done():
@@ -426,8 +441,8 @@ def test_sgd_update_returns_with_the_helpers_half_done():
     theta, grad, velocity = (rng.normal(size=(7, 5)) for _ in range(3))
     expected_v = velocity * 0.9 + grad + 0.01 * theta
     expected_theta = theta - 0.1 * expected_v
-    with ad.Helper(floor=0) as helper:
-        helper._pool.submit(time.sleep, 0.1)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        helper.submit(time.sleep, 0.1)
         sgd_update(theta, grad, velocity, 0.1, 0.9, 0.01, np.full((7, 5), np.nan), helper)
         assert np.array_equal(velocity, expected_v) and np.array_equal(theta, expected_theta)
 
@@ -496,8 +511,7 @@ def test_evaluate_chunking_does_not_change_predictions(monkeypatch):
 
 def test_evaluate_does_not_depend_on_the_worker_count():
     # three full chunks and a ragged one of 7 rows, evaluated on the caller
-    # alone, on a helper that keeps the second half under its default floor
-    # (6 x 16 x 8 wide) and on one that takes it
+    # alone and with a one-worker pool that takes the second half
     rng = np.random.default_rng(8)
     rows = 3 * 1024 + 7
     labels = rng.integers(-1, 3, size=rows)
@@ -506,11 +520,8 @@ def test_evaluate_does_not_depend_on_the_worker_count():
     reference = np.concatenate([
         hard_pseudo_labels(predict_probs(params, data.features[i:i + 1024]))[0]
         for i in range(0, rows, 1024)])
-    results = [evaluate(params, data)]
-    for helper in (ad.Helper(), ad.Helper(floor=0)):
-        with helper:
-            results.append(evaluate(params, data, helper=helper))
-        assert helper.used == (helper.floor == 0)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        results = [evaluate(params, data), evaluate(params, data, helper=helper)]
     for res in results:
         assert np.array_equal(res.predictions, reference)
         assert res.accuracy == results[0].accuracy
@@ -518,9 +529,9 @@ def test_evaluate_does_not_depend_on_the_worker_count():
         assert res.n_unlabeled == int((labels < 0).sum())
 
 
-def _evaluate_three_ways(monkeypatch, params, data):
-    """evaluate's predictions with no helper, with Helper() and with
-    Helper(floor=0), each checked against the per-chunk reference
+def _evaluate_two_ways(monkeypatch, params, data):
+    """evaluate's predictions with no helper and with a one-worker pool,
+    each checked against the per-chunk reference
     hard_pseudo_labels(predict_probs(chunk)). Returns the reference and, per
     run, how many chunks fell back to forward_probs."""
     train_module = importlib.import_module("bjda.train")
@@ -532,7 +543,7 @@ def _evaluate_three_ways(monkeypatch, params, data):
         hard_pseudo_labels(predict_probs(params, data.features[i:i + 1024]))[0]
         for i in range(0, len(data), 1024)])
     fallbacks = []
-    for helper in (None, ad.Helper(), ad.Helper(floor=0)):
+    for helper in (None, ThreadPoolExecutor(max_workers=1)):
         calls.clear()
         with helper or contextlib.nullcontext():
             assert np.array_equal(evaluate(params, data, helper=helper).predictions, reference)
@@ -550,8 +561,8 @@ def _ragged_data(dim, classes, seed=8):
 def test_evaluate_takes_the_collapsed_head_on_a_trained_model(monkeypatch):
     source, target = small_pair()
     params, _ = train(source, target, BASE)
-    _, fallbacks = _evaluate_three_ways(monkeypatch, params, _ragged_data(6, 3))
-    assert fallbacks == [0, 0, 0]
+    _, fallbacks = _evaluate_two_ways(monkeypatch, params, _ragged_data(6, 3))
+    assert fallbacks == [0, 0]
 
 
 def test_evaluate_falls_back_on_an_exact_tie_and_the_lower_class_wins(monkeypatch):
@@ -559,8 +570,8 @@ def test_evaluate_falls_back_on_an_exact_tie_and_the_lower_class_wins(monkeypatc
     params = init_xavier_params()
     params.tensors["wc"][:, 2] = params.tensors["wc"][:, 1]
     params.tensors["bc"][0, 1:] = 5.0
-    reference, fallbacks = _evaluate_three_ways(monkeypatch, params, _ragged_data(6, 3))
-    assert fallbacks == [4, 4, 4]
+    reference, fallbacks = _evaluate_two_ways(monkeypatch, params, _ragged_data(6, 3))
+    assert fallbacks == [4, 4]
     assert (reference == 1).all()
 
 
@@ -575,7 +586,7 @@ def test_evaluate_keeps_the_exact_labels_on_a_near_tie(monkeypatch):
     z = data.features @ t["w1"] + t["b1"]
     h = np.where(z > 0.0, z, LEAKY_SLOPE * z)
     unguarded = np.argmax(h @ (t["w2"] @ t["wc"]) + (t["b2"] @ t["wc"] + t["bc"]), axis=1)
-    reference, _ = _evaluate_three_ways(monkeypatch, params, data)
+    reference, _ = _evaluate_two_ways(monkeypatch, params, data)
     assert (unguarded != reference).any()
 
 
@@ -583,8 +594,8 @@ def test_a_one_class_checkpoint_predicts_class_zero(monkeypatch, tmp_path):
     save_checkpoint(init_xavier(ModelDims(6, hidden=16, feat=8, classes=1), 0), tmp_path / "m.bin")
     params = load_checkpoint(tmp_path / "m.bin")
     data = _ragged_data(6, 1)
-    reference, fallbacks = _evaluate_three_ways(monkeypatch, params, data)
-    assert (reference == 0).all() and fallbacks == [4, 4, 4]
+    reference, fallbacks = _evaluate_two_ways(monkeypatch, params, data)
+    assert (reference == 0).all() and fallbacks == [4, 4]
     assert evaluate(params, data).accuracy == 1.0
 
 
@@ -672,7 +683,7 @@ def test_a_helper_run_beside_another_run_matches_its_one_thread_run(monkeypatch)
     # evaluate half (floor 0), and a second run beside it, which opens no
     # helper, must write what the first run writes on one thread alone
     from dataclasses import replace
-    monkeypatch.setattr(ad, "HELPER_FLOOR", 0)
+    monkeypatch.setattr(train_module, "HELPER_FLOOR", 0)
     source, target = gen_rotated_blobs(SynthSpec(classes=3, dim=6, per_class=400,
                                                  shift_angle=30.0, noise_sigma=0.25))
     cfg = TrainConfig(hidden_dim=512, feat_dim=256, t_max=20, batch_source=32,
