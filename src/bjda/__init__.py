@@ -10,8 +10,8 @@ from .autodiff import Tape, Value
 from .data import Dataset, SynthSpec, gen_rotated_blobs, load_csv, save_csv
 from .kernels import (KernelSpec, closed_form_bures, exact_wasserstein_sq,
                       gaussian_bandwidth, kbw_sq)
-from .losses import (LossBreakdown, Prototypes, entropy_margins, l_cls, l_dmc,
-                     l_trip, one_hot, total_objective)
+from .losses import (Prototypes, entropy_margins, l_cls, l_dmc, l_trip, one_hot,
+                     total_objective)
 from .model import (ModelDims, ModelParams, forward_f, forward_g,
                     hard_pseudo_labels, init_xavier, load_checkpoint,
                     make_leaves, predict_probs, save_checkpoint)
@@ -25,8 +25,8 @@ __all__ = [
     "Dataset", "SynthSpec", "gen_rotated_blobs", "load_csv", "save_csv",
     "KernelSpec", "closed_form_bures", "exact_wasserstein_sq",
     "gaussian_bandwidth", "kbw_sq",
-    "LossBreakdown", "Prototypes", "entropy_margins", "l_cls", "l_da",
-    "l_dmc", "l_trip", "one_hot", "total_objective",
+    "Prototypes", "entropy_margins", "l_cls", "l_da", "l_dmc", "l_trip",
+    "one_hot", "total_objective",
     "ModelDims", "ModelParams", "forward_f", "forward_g",
     "hard_pseudo_labels", "init_xavier", "load_checkpoint", "make_leaves",
     "predict_probs", "save_checkpoint",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import json
 import os
@@ -211,6 +212,21 @@ def _blas() -> dict:
     return {key: blas.get(key) for key in ("name", "version")}
 
 
+def _blas_threads() -> int | None:
+    """The thread count numpy's OpenBLAS reports, asked through the library
+    numpy's linalg extension links; None where that is another BLAS."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return None
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+        query = getattr(lib, symbol, None)
+        if query is not None:  # ctypes' default restype, c_int, is the query's
+            return query()
+    return None
+
+
 def cmd_train(args) -> int:
     started = time.monotonic()
     cfg, source, target = _config_and_data(args)
@@ -243,17 +259,14 @@ def _write_run(out: Path, metrics: RunMetrics, cfg: TrainConfig, load: float, wa
         "error": None if error is None else str(error),
         # train evaluated the final parameters whenever the target has labels
         "final_target_accuracy": metrics.records[-1].target_acc if metrics.records else None,
-        "final_per_class_accuracy": metrics.final_per_class,
-        "proto_skips": metrics.proto_skips,
-        "label_term_skips": metrics.label_term_skips,
-        "dmc_target_skips": metrics.dmc_target_skips,
-        "trip_degenerate": metrics.trip_degenerate,
-        "train_threads": metrics.train_threads,
+        **{f.name: getattr(metrics, f.name) for f in dataclasses.fields(metrics)
+           if f.name != "records"},
         "config": dict(line.split(" = ", 1) for line in emit_config(cfg).splitlines()),
         "wall_clock_seconds": wall,
         "load_seconds": load,
         "numpy_version": np.__version__,
         "blas": _blas(),
+        "blas_threads": _blas_threads(),
         "blas_threads_env": {var: os.environ.get(var) for var in
                              ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
     }

@@ -84,15 +84,6 @@ class Prototypes:
             self.present[c] = True
 
 
-@dataclass
-class LossBreakdown:
-    """Scalar loss terms of one iteration; disabled terms are logged as 0."""
-    l_cls: float
-    l_da: float
-    l_dmc: float
-    total: float
-
-
 def l_cls(pred_probs: Value, y_onehot: np.ndarray) -> Value:
     """Mean cross-entropy -(1/n) sum_i sum_c y_ic ln p_ic, as one tape node.
 

@@ -21,7 +21,7 @@ import contextlib
 import json
 import math
 import threading
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from concurrent.futures import Executor, ThreadPoolExecutor
 
 import numpy as np
@@ -32,7 +32,7 @@ from .autodiff import Tape, Value
 from .data import Dataset
 from .errors import ConfigError, DimensionError, InputError, NumericalError
 from .kernels import GAUSSIAN, KernelSpec, kbw_sq, optimal_assignment
-from .losses import LossBreakdown, Prototypes, one_hot
+from .losses import Prototypes, one_hot
 from .model import (DEFAULT_FEAT, DEFAULT_HIDDEN, ModelDims, ModelParams, check_finite, forward_f,
                     forward_g, forward_probs, hard_pseudo_labels, hidden_array, init_xavier,
                     make_leaves)
@@ -130,32 +130,29 @@ class TrainConfig:
 
 @dataclass
 class IterationRecord:
-    iteration: int
-    breakdown: LossBreakdown
-    target_acc: float | None
-    pl_accept: float | None
+    """One metrics.jsonl line: its fields are the line's keys, in order."""
+    iter: int
+    l_cls: float
+    l_da: float
+    l_dmc: float
+    total: float
+    target_acc: float | None = None  # set at evaluation iterations
+    pl_accept: float | None = None   # the share of target rows kept, with pl on
 
 
 @dataclass
 class RunMetrics:
+    """A run's records, then summary.json's counters in its order."""
     records: list[IterationRecord] = field(default_factory=list)
+    final_per_class_accuracy: dict[int, float] | None = None  # class -> final accuracy
     proto_skips: int = 0          # rows dropped from the margin loss, no usable prototype
     label_term_skips: int = 0     # iterations whose label-alignment term was skipped
     dmc_target_skips: int = 0     # iterations whose margin loss lost its target rows
     trip_degenerate: int = 0      # single-class batches seen by the triplet loss
     train_threads: int = 1        # 2 when the run opened a helper, else 1
-    final_per_class: dict[int, float] | None = None  # class -> the final model's accuracy
 
     def to_jsonl(self) -> str:
-        lines = []
-        for r in self.records:
-            b = r.breakdown
-            lines.append(json.dumps({
-                "iter": r.iteration,
-                "l_cls": b.l_cls, "l_da": b.l_da, "l_dmc": b.l_dmc, "total": b.total,
-                "target_acc": r.target_acc, "pl_accept": r.pl_accept,
-            }))
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(json.dumps(asdict(r)) + "\n" for r in self.records)
 
 
 @dataclass
@@ -333,9 +330,10 @@ def batch_constants(cfg: TrainConfig, g_s: Value, probs_s: Value, probs_t: Value
 
 
 def objective(cfg: TrainConfig, g_s: Value, g_t: Value, probs_s: Value, probs_t: Value,
-              const: BatchConstants, metrics: RunMetrics) -> tuple[Value, LossBreakdown]:
+              const: BatchConstants, metrics: RunMetrics) -> tuple[Value, IterationRecord]:
     """One iteration's objective, cls + lambda1 * alignment + lambda2 * margin,
-    with the terms the variant fills; counts skipped terms into metrics.
+    with the terms the variant fills, and its record, 0 for a term left out
+    and iter 0 until the caller sets it; counts skipped terms into metrics.
 
     Gradient flows through the forward Values only. A term whose weight is 0
     is not built at all.
@@ -367,21 +365,19 @@ def objective(cfg: TrainConfig, g_s: Value, g_t: Value, probs_s: Value, probs_t:
 
     cls_term = L.l_cls(probs_s, y_s_1h)
     total = L.total_objective(cls_term, da_term, con_term, cfg.lambda1, cfg.lambda2)
-    return total, LossBreakdown(
-        l_cls=cls_term.item(),
-        l_da=da_term.item() if da_term is not None else 0.0,
-        l_dmc=con_term.item() if con_term is not None else 0.0,
-        total=total.item())
+    return total, IterationRecord(0, cls_term.item(),
+                                  da_term.item() if da_term is not None else 0.0,
+                                  con_term.item() if con_term is not None else 0.0,
+                                  total.item())
 
 
 def _step(cfg: TrainConfig, params: ModelParams, scratch: dict[str, np.ndarray],
           protos: Prototypes, metrics: RunMetrics, helper: Executor | None, it: int,
           xs: np.ndarray, ys: np.ndarray,
-          xt: np.ndarray) -> tuple[LossBreakdown, float | None, dict[str, Value]]:
-    """One iteration: forward, objective, backward and SGD step, with the
-    run's helper, if any. Returns the loss breakdown, the pl acceptance share
-    and the parameter leaves, whose grads the backward made last. Everything
-    else on the tape dies with the call."""
+          xt: np.ndarray) -> tuple[IterationRecord, dict[str, Value]]:
+    """One iteration's forward, objective, backward and SGD step, on the run's
+    helper if any. Returns its record, less target_acc, and the parameter
+    leaves, whose grads the backward made last; the rest of the tape dies here."""
     tape = Tape(helper)
     try:
         leaves = make_leaves(tape, params)
@@ -396,16 +392,17 @@ def _step(cfg: TrainConfig, params: ModelParams, scratch: dict[str, np.ndarray],
     probs_t = forward_f(leaves, g_t)
 
     const = batch_constants(cfg, g_s, probs_s, probs_t, ys, protos)
-    pl_accept = const.keep.shape[0] / xt.shape[0] if cfg.pl else None
-    loss, breakdown = objective(cfg, g_s, g_t, probs_s, probs_t, const, metrics)
-    if not math.isfinite(breakdown.total):
-        raise NumericalError(f"non-finite loss {breakdown.total!r} at iteration {it}")
+    loss, record = objective(cfg, g_s, g_t, probs_s, probs_t, const, metrics)
+    if not math.isfinite(record.total):
+        raise NumericalError(f"non-finite loss {record.total!r} at iteration {it}")
+    record.iter = it
+    record.pl_accept = const.keep.shape[0] / xt.shape[0] if cfg.pl else None
 
     tape.backward(loss)
     for name in leaves:
         sgd_update(params.tensors[name], leaves[name].grad, params.velocities[name],
                    cfg.lr, cfg.momentum, cfg.weight_decay, scratch[name], helper)
-    return breakdown, pl_accept, leaves
+    return record, leaves
 
 
 def train(source: Dataset, target: Dataset,
@@ -448,17 +445,15 @@ def train(source: Dataset, target: Dataset,
             for it in range(1, cfg.t_max + 1):
                 idx_s = sampler_s.next()
                 idx_t = sampler_t.next()
-                breakdown, pl_accept, held = _step(cfg, params, scratch, protos, metrics,
-                                                   helper, it, source.features[idx_s],
-                                                   source.labels[idx_s], target.features[idx_t])
-
-                target_acc = None
+                record, held = _step(cfg, params, scratch, protos, metrics, helper, it,
+                                     source.features[idx_s], source.labels[idx_s],
+                                     target.features[idx_t])
                 if has_target_labels and (it % cfg.eval_every == 0 or it == cfg.t_max):
                     held = None  # evaluate's buffers take the grads' place
                     result = evaluate(params, target, helper=helper)
-                    target_acc, metrics.final_per_class = result.accuracy, result.per_class
-
-                metrics.records.append(IterationRecord(it, breakdown, target_acc, pl_accept))
+                    record.target_acc = result.accuracy
+                    metrics.final_per_class_accuracy = result.per_class
+                metrics.records.append(record)
         except NumericalError as err:
             err.metrics = metrics
             raise
@@ -501,12 +496,12 @@ def evaluate(params: ModelParams, data: Dataset,
     Rows are labeled EVAL_CHUNK at a time with the argmax of forward_probs,
     the pass of predict_probs, so a reloaded checkpoint predicts the same
     labels: from the collapsed head h (W2 Wc) where a rounding bound proves
-    them, else from forward_probs on the whole chunk. Given a helper,
-    autodiff.both runs the second of two strided halves of the chunks there
-    while the caller runs the first; each half reuses one hidden-layer
-    buffer. A chunk's arithmetic does not depend on its thread, so neither
-    do the predictions. A non-finite parameter raises NumericalError naming
-    it.
+    them, else from forward_probs on the whole chunk. Given a helper and two
+    or more chunks, autodiff.both runs the second of two strided halves of
+    the chunks there while the caller runs the first; a nonempty half
+    reuses one hidden-layer buffer. A chunk's arithmetic does not depend on
+    its thread, so neither do the predictions. A non-finite parameter raises
+    NumericalError naming it.
     """
     check_finite(params, "evaluate")
     d = params.dims
@@ -536,7 +531,7 @@ def evaluate(params: ModelParams, data: Dataset,
     gamma = (d.hidden + d.feat + 3) * u / (1.0 - (d.hidden + d.feat + 3) * u)
 
     def predict(half: range) -> None:
-        h = np.empty((min(EVAL_CHUNK, n), d.hidden))
+        h = np.empty((min(EVAL_CHUNK, n), d.hidden)) if half else None
         for start in half:
             x = data.features[start:start + EVAL_CHUNK]
             k = x.shape[0]
@@ -552,7 +547,8 @@ def evaluate(params: ModelParams, data: Dataset,
             probs = forward_probs(t, x, h[:k])
             preds[start:start + k] = hard_pseudo_labels(probs)[0]
 
-    ad.both(helper, lambda: predict(starts[0::2]), lambda: predict(starts[1::2]))
+    ad.both(helper if len(starts) >= 2 else None, lambda: predict(starts[0::2]),
+            lambda: predict(starts[1::2]))
 
     labeled = data.labels >= 0
     n_unlabeled = int((~labeled).sum())
@@ -585,11 +581,7 @@ class SuiteResult:
     def summary(self) -> list[tuple[str, float, float]]:
         """Per-variant mean and sample (n-1) std over the successful cells."""
         out = []
-        seen = []
-        for cell in self.cells:
-            if cell.variant not in seen:
-                seen.append(cell.variant)
-        for variant in seen:
+        for variant in dict.fromkeys(c.variant for c in self.cells):  # first-seen order
             accs = [c.accuracy for c in self.cells
                     if c.variant == variant and c.accuracy is not None]
             if not accs:

@@ -5,6 +5,9 @@ import json
 import os
 import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,7 +110,7 @@ def test_train_writes_all_artifacts(data_dir, tmp_path, capsys, monkeypatch):
                             "proto_skips", "label_term_skips",
                             "dmc_target_skips", "trip_degenerate", "train_threads", "config",
                             "wall_clock_seconds", "load_seconds", "numpy_version", "blas",
-                            "blas_threads_env"}
+                            "blas_threads", "blas_threads_env"}
     assert summary["status"] == "ok" and summary["error"] is None
     assert summary["train_threads"] == 1  # 16/8 wide: under the floor, the run opens no pool
     assert 0.0 <= summary["final_target_accuracy"] <= 1.0
@@ -132,6 +135,21 @@ def test_summary_blas_is_numpys_library_or_null(monkeypatch):
 
     monkeypatch.setattr(np, "show_config", show_config)
     assert cli._blas() == {"name": None, "version": None}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_summary_blas_threads_is_the_count_openblas_reports(threads, data_dir, tmp_path):
+    # a fresh process, so OpenBLAS reads the variable when numpy loads it
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = tmp_path / "run"
+    subprocess.run([sys.executable, "-m", "bjda.cli", "train",
+                    "--source", str(data_dir / "source.csv"),
+                    "--target", str(data_dir / "target.csv"), "--out", str(out), *FAST],
+                   env=env, check=True, capture_output=True)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["blas_threads"] in (threads, None)
+    assert summary["blas_threads_env"]["OPENBLAS_NUM_THREADS"] == str(threads)
 
 
 @pytest.fixture(scope="module")

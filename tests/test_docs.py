@@ -3,13 +3,14 @@ import importlib
 import inspect
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 from bjda import autodiff as ad
 from bjda import gradcheck
 from bjda.cli import emit_config, main
 from bjda.data import SynthSpec, gen_rotated_blobs, save_csv
-from bjda.train import TrainConfig
+from bjda.train import IterationRecord, TrainConfig, train
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -91,3 +92,14 @@ def test_readme_names_only_package_attributes_that_exist():
             missing.append(ref)
         checked += 1
     assert checked >= 10 and missing == []
+
+
+def test_readme_metrics_jsonl_keys_are_the_record_fields_in_order():
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    listed = re.search(r"\*\*`metrics\.jsonl`\*\*: per iteration `\{(.*?)\}`", readme).group(1)
+    documented = re.findall(r'"(\w+)"', listed)
+    source, target = gen_rotated_blobs(SynthSpec(classes=2, dim=3, per_class=8))
+    _, metrics = train(source, target, TrainConfig(t_max=1, hidden_dim=4, feat_dim=2,
+                                                   batch_source=4, batch_target=4))
+    line = metrics.to_jsonl().splitlines()[0]
+    assert documented == [f.name for f in fields(IterationRecord)] == list(json.loads(line))

@@ -212,9 +212,8 @@ def test_breakdown_identity_holds_every_iteration():
     source, target = small_pair()
     _, metrics = train(source, target, BASE)
     for r in metrics.records:
-        b = r.breakdown
-        recomposed = b.l_cls + BASE.lambda1 * b.l_da + BASE.lambda2 * b.l_dmc
-        assert abs(b.total - recomposed) <= 1e-12
+        recomposed = r.l_cls + BASE.lambda1 * r.l_da + BASE.lambda2 * r.l_dmc
+        assert abs(r.total - recomposed) <= 1e-12
 
 
 def test_variant_loss_slots():
@@ -223,22 +222,22 @@ def test_variant_loss_slots():
     short = replace(BASE, t_max=5)
 
     _, m = train(source, target, replace(short, variant="no_da"))
-    assert all(r.breakdown.l_da == 0.0 for r in m.records)
-    assert any(r.breakdown.l_dmc > 0.0 for r in m.records)
+    assert all(r.l_da == 0.0 for r in m.records)
+    assert any(r.l_dmc > 0.0 for r in m.records)
 
     _, m = train(source, target, replace(short, variant="no_dmc"))
-    assert all(r.breakdown.l_dmc == 0.0 for r in m.records)
-    assert m.records[0].breakdown.l_da > 0.0
+    assert all(r.l_dmc == 0.0 for r in m.records)
+    assert m.records[0].l_da > 0.0
 
     _, m = train(source, target, replace(short, variant="source_only"))
-    assert all(r.breakdown.l_da == 0.0 and r.breakdown.l_dmc == 0.0
+    assert all(r.l_da == 0.0 and r.l_dmc == 0.0
                for r in m.records)
 
     _, m = train(source, target, replace(short, variant="triplet"))
-    assert all(r.breakdown.l_dmc >= 0.0 for r in m.records)
+    assert all(r.l_dmc >= 0.0 for r in m.records)
 
     _, m = train(source, target, replace(short, variant="wd"))
-    assert m.records[0].breakdown.l_da > 0.0
+    assert m.records[0].l_da > 0.0
 
 
 @pytest.mark.parametrize("variant, lambda2, refreshes", [
@@ -349,7 +348,7 @@ def test_pl_label_term_is_l_da_on_exactly_the_kept_rows():
     _, metrics = train(source, target, replace(cfg, confidence_threshold=threshold))
     record = metrics.records[0]
     assert record.pl_accept == keep.shape[0] / idx_t.shape[0]
-    assert record.breakdown.l_da == expected
+    assert record.l_da == expected
     assert metrics.label_term_skips == 0
 
 
@@ -527,6 +526,28 @@ def test_evaluate_does_not_depend_on_the_worker_count():
         assert res.accuracy == results[0].accuracy
         assert res.per_class == results[0].per_class
         assert res.n_unlabeled == int((labels < 0).sum())
+
+
+class _CountingPool(ThreadPoolExecutor):
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.submits = 0
+
+    def submit(self, *args, **kwargs):
+        self.submits += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.mark.parametrize("rows, submits", [(800, 0), (2100, 1)])
+def test_evaluate_hands_the_pool_only_a_second_chunk(rows, submits):
+    # a one-chunk target stays on the caller; a three-chunk one sends its second half
+    rng = np.random.default_rng(rows)
+    data = Dataset(rng.normal(size=(rows, 32)), rng.integers(0, 4, size=rows), 4)
+    params = init_xavier(ModelDims(32, 1024, 512, 4), 0)
+    with _CountingPool() as pool:
+        pooled = evaluate(params, data, helper=pool)
+    assert pool.submits == submits
+    assert np.array_equal(pooled.predictions, evaluate(params, data).predictions)
 
 
 def _evaluate_two_ways(monkeypatch, params, data):
