@@ -11,15 +11,12 @@ Exit codes: 0 success, 2 usage or configuration error, 3 file I/O error,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import ctypes
 import dataclasses
+import functools
 import json
 import os
-import pickle
-import signal
 import sys
-import threading
 import time
 import typing
 from pathlib import Path
@@ -34,7 +31,7 @@ from .gradcheck import run_all
 from .kernels import (GAUSSIAN, KERNEL_KINDS, KernelSpec, closed_form_bures,
                       exact_wasserstein_sq, kbw_sq)
 from .model import save_checkpoint
-from .train import VARIANTS, RunMetrics, TrainConfig, run_suite, train
+from .train import VARIANTS, RunMetrics, TrainConfig, can_fork, fork_beside, run_suite, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -139,48 +136,23 @@ def _fork_pays(paths) -> bool:
         smaller = min(os.path.getsize(p) for p in paths)
     except OSError:  # the serial load reports it
         return False
-    return (hasattr(os, "fork") and ad.usable_cpus() >= 2 and threading.active_count() == 1
-            and smaller >= PAIR_FORK_FLOOR)
+    return can_fork() and ad.usable_cpus() >= 2 and smaller >= PAIR_FORK_FLOOR
 
 
 def _load_pair(first, second, names: tuple[str, str]) -> tuple[Dataset, Dataset]:
     """load_csv both files; when _fork_pays, a forked child parses the second
-    while this process parses the first. The process forks only while it
-    runs a single thread, since a fork copies no other thread.
+    while this process parses the first (train.fork_beside).
 
-    The child pickles its Dataset into a pipe. If it fails in any way,
-    the second file is parsed here, so every error, and the order in which
-    errors surface, is the serial load's. No child outlives the call.
+    If the child fails in any way, the second file is parsed here, so every
+    error, and the order in which errors surface, is the serial load's. No
+    child outlives the call.
     """
+    load_second = functools.partial(load_csv, second, name=names[1])
     if not _fork_pays((first, second)):
-        return load_csv(first, name=names[0]), load_csv(second, name=names[1])
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            dataset = load_csv(second, name=names[1])
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(dataset, pipe, protocol=5)
-            code = 0
-        finally:
-            os._exit(code)  # never return into the parent's stack
-    os.close(write_fd)
-    received = None
-    with open(read_fd, "rb") as pipe:
-        try:
-            loaded = load_csv(first, name=names[0])
-            # a stream cut short means the child failed; parse here
-            with contextlib.suppress(EOFError, pickle.UnpicklingError):
-                received = pickle.load(pipe)
-        finally:
-            if received is None:
-                os.kill(pid, signal.SIGKILL)
-            _, status = os.waitpid(pid, 0)
-    if received is None or status != 0:
-        received = load_csv(second, name=names[1])
-    return loaded, received
+        return load_csv(first, name=names[0]), load_second()
+    loaded, [(received, why)] = fork_beside(functools.partial(load_csv, first, name=names[0]),
+                                            [load_second])
+    return loaded, load_second() if why is not None else received
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,16 @@ bytes do not depend on the helper.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
+import os
+import pickle
+import signal
 import threading
 from dataclasses import asdict, dataclass, field, fields, replace
 from concurrent.futures import Executor, ThreadPoolExecutor
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -473,10 +478,10 @@ def _open_helper(drawn: tuple[int, int], dims: ModelDims) -> contextlib.Abstract
     """A one-worker pool for one train() call, or a context that gives None.
 
     It opens on the main thread with two usable CPUs when min(drawn batch
-    sizes) x hidden x max(input_dim, feat) reaches HELPER_FLOOR. run_suite's
-    --jobs workers already fill the CPUs, and cli._load_pair forks only
-    while the process runs one thread, as it does until the pool's first job
-    and again once the pool is joined.
+    sizes) x hidden x max(input_dim, feat) reaches HELPER_FLOOR. A library
+    caller that trains off the main thread gets none; fork_beside's callers
+    fork only while the process runs one thread, as it does until the
+    pool's first job and again once the pool is joined.
     """
     work = min(drawn) * dims.hidden * max(dims.input_dim, dims.feat)
     if (work >= HELPER_FLOOR and ad.usable_cpus() >= 2
@@ -605,14 +610,105 @@ def _run_cell(source: Dataset, target: Dataset, cfg: TrainConfig) -> SuiteCell:
         return SuiteCell(cfg.variant, cfg.seed, None, f"{type(err).__name__}: {err}")
 
 
+def can_fork() -> bool:
+    """Whether fork_beside may fork: os.fork exists and the process runs one
+    thread, since a fork copies no other thread and no lock it holds."""
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
+def _reason(status: int) -> str:
+    code = os.waitstatus_to_exitcode(status)
+    if code >= 0:
+        return f"exited with status {code}" + ("" if code else " before its result arrived")
+    try:
+        return f"was killed by signal {-code} ({signal.Signals(-code).name})"
+    except ValueError:  # a signal number the enum does not name
+        return f"was killed by signal {-code}"
+
+
+def _receive(pid: int, read_fd: int) -> tuple[object, str | None]:
+    """A child's result and None, or None and why it is not trusted: it
+    counts only if it arrives whole and the child exits 0. A child that has
+    not delivered is killed; the child is reaped either way."""
+    result, delivered = None, False
+    try:
+        with open(read_fd, "rb") as pipe:
+            # a stream cut short means the child failed
+            with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                result, delivered = pickle.load(pipe), True
+    finally:
+        if not delivered:
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+    if delivered and status == 0:
+        return result, None
+    return None, _reason(status)
+
+
+def fork_beside(here: Callable[[], object],
+                away: Sequence[Callable[[], object]]) -> tuple[object, list]:
+    """(here(), [(result, None) or (None, why) per job of away]): each job of
+    away runs in a forked child while this process runs here; check
+    can_fork first.
+
+    A child closes the pipe ends of the children forked before it, pickles
+    its job's result into its own pipe and always ends with os._exit, so it
+    never returns into the caller's stack. Its pipe closes only as it
+    exits, so the exit status is fixed before the caller sees the stream
+    end and kills a child that has not delivered. A result is trusted only as
+    _receive says. No child outlives the call: should here, a fork or a
+    receive raise, every child not yet reaped is killed and reaped, and the
+    exception propagates.
+    """
+    children: list[tuple[int, int]] = []  # (pid, read end), in fork order
+    try:
+        for job in away:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to run the job: its pipe goes too
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in (read_fd, *(fd for _, fd in children)):
+                        os.close(fd)
+                    pipe = open(write_fd, "wb")
+                    pickle.dump(job(), pipe, protocol=5)
+                    pipe.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        mine = here()
+        received = []
+        while children:
+            received.append(_receive(*children.pop(0)))
+        return mine, received
+    finally:
+        for pid, read_fd in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_fd)
+
+
 def run_suite(source: Dataset, target: Dataset, cfg: TrainConfig,
               variants: list[str] | tuple[str, ...] = VARIANTS,
               seeds: list[int] | tuple[int, ...] = (0, 1, 2, 3, 4),
               jobs: int = 1) -> SuiteResult:
     """Train every (variant, seed) cell from a shared base config.
 
-    Cells are independent (own model, own RNG); jobs > 1 runs them in a
-    thread pool. Results keep the requested order either way.
+    Cells are independent (own model, own RNG). With jobs > 1 and can_fork,
+    the cells are dealt to n = min(jobs, cells, usable CPUs) workers:
+    worker w trains cells w, w + n, ... The caller is worker 0, and
+    fork_beside forks the other n - 1 before any cell trains. A worker
+    that dies, or whose cells do not arrive whole, leaves its cells failed
+    with an error naming its exit status or signal. Any other call trains
+    the cells one after another. Results keep the requested order either
+    way, and a cell's accuracy does not depend on where it ran.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -624,9 +720,17 @@ def run_suite(source: Dataset, target: Dataset, cfg: TrainConfig,
     for s in seeds:  # a bad seed fails the sweep before any cell runs
         _check_seed(s)
     configs = [replace(cfg, variant=v, seed=s) for v in variants for s in seeds]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(lambda c: _run_cell(source, target, c), configs))
-    else:
-        cells = [_run_cell(source, target, c) for c in configs]
+    n = min(jobs, len(configs), ad.usable_cpus()) if can_fork() else 1
+
+    def share(w: int) -> list[SuiteCell]:
+        return [_run_cell(source, target, c) for c in configs[w::n]]
+
+    mine, away = fork_beside(lambda: share(0), [functools.partial(share, w)
+                                                for w in range(1, n)])
+    cells: list = [None] * len(configs)
+    cells[0::n] = mine
+    for w, (theirs, why) in enumerate(away, start=1):
+        cells[w::n] = theirs if why is None else [
+            SuiteCell(c.variant, c.seed, None, f"suite worker {w} {why}")
+            for c in configs[w::n]]
     return SuiteResult(cells)

@@ -701,6 +701,35 @@ def test_suite_failed_cells_in_results_stderr_and_summary(data_dir, tmp_path,
     assert summary[2] == f"source_only,{ok_acc},0"
 
 
+@pytest.mark.parametrize("target", ["target.csv", "target_unlabeled.csv"])
+def test_suite_writes_the_same_files_for_every_jobs_count(data_dir, tmp_path, capsys,
+                                                          monkeypatch, target):
+    # six cells, the wd ones failing on unequal batches, and every cell
+    # failing on the unlabeled target; --jobs 7 asks for more workers than cells
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 8)
+    fast = [a.replace("batch_target=12", "batch_target=10") for a in FAST]
+    written, errors = [], []
+    for jobs in (1, 2, 3, 7):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["suite", "--source", str(data_dir / "source.csv"),
+                     "--target", str(data_dir / target), "--variants", "wd,source_only,no_da",
+                     "--seeds", "0,1", "--jobs", str(jobs), "--out", str(out)] + fast) == 0
+        written.append([(out / name).read_bytes() for name in ("results.csv", "summary.csv")])
+        errors.append(capsys.readouterr().err)
+    assert len(calls) == 0 + 1 + 2 + 5
+    _assert_no_child_left()
+    assert written[1:] == written[:1] * 3 and errors[1:] == errors[:1] * 3
+    assert written[0][0].count(b"failed") == (2 if target == "target.csv" else 6)
+
+
 def test_suite_rejects_malformed_seeds(data_dir, tmp_path, capsys):
     code = main(["suite", "--source", str(data_dir / "source.csv"),
                  "--target", str(data_dir / "target.csv"),

@@ -4,6 +4,8 @@ import functools
 import importlib
 import json
 import math
+import os
+import signal
 import sys
 import threading
 import time
@@ -696,6 +698,143 @@ def test_suite_parallel_matches_serial():
                          variants=("source_only", "no_da"), seeds=(0, 1), jobs=4)
     assert [(c.variant, c.seed, c.accuracy) for c in serial.cells] == \
            [(c.variant, c.seed, c.accuracy) for c in threaded.cells]
+
+
+# ---------------------------------------------------------------- suite workers
+
+@pytest.fixture
+def suite_forks(monkeypatch):
+    """Count every fork run_suite makes, on four usable CPUs; after the
+    test, no child may be left."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 4)
+    yield calls
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cells(result):
+    return [(c.variant, c.seed, c.accuracy, c.error) for c in result.cells]
+
+
+def test_suite_workers_never_outnumber_usable_cpus(suite_forks, monkeypatch):
+    from dataclasses import replace
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 2)
+    source, target = small_pair()
+    cfg = replace(BASE, t_max=4)
+    grid = dict(variants=("source_only", "no_da"), seeds=(0, 1))
+    forked = run_suite(source, target, cfg, **grid, jobs=1000)
+    assert len(suite_forks) == 1
+    assert _cells(forked) == _cells(run_suite(source, target, cfg, **grid))
+
+
+@pytest.mark.parametrize("blocker", ["second thread", "no os.fork"])
+def test_suite_runs_serially_where_it_may_not_fork(suite_forks, monkeypatch, blocker):
+    from dataclasses import replace
+    source, target = small_pair()
+    cfg = replace(BASE, t_max=4)
+    grid = dict(variants=("source_only", "no_da"), seeds=(0, 1))
+    serial = run_suite(source, target, cfg, **grid)
+    if blocker == "no os.fork":
+        monkeypatch.delattr(os, "fork")
+        assert _cells(run_suite(source, target, cfg, **grid, jobs=2)) == _cells(serial)
+    else:
+        release = threading.Event()
+        beside = threading.Thread(target=release.wait, args=(60,))
+        beside.start()
+        try:
+            assert _cells(run_suite(source, target, cfg, **grid, jobs=2)) == _cells(serial)
+        finally:
+            release.set()
+            beside.join(timeout=60)
+        assert not beside.is_alive()
+    assert suite_forks == []
+
+
+@pytest.mark.parametrize("failure, why", [
+    ("kill", "suite worker 1 was killed by signal 9 (SIGKILL)"),
+    ("short stream", "suite worker 1 exited with status 0 before its result arrived"),
+], ids=["killed", "short-stream"])
+def test_a_worker_that_fails_mid_share_leaves_its_cells_failed(suite_forks, monkeypatch,
+                                                               failure, why):
+    # two workers, six cells: the caller trains cells 0, 2 and 4, worker 1
+    # cells 1, 3 and 5, and fails after training cell 1
+    from dataclasses import replace
+    import pickle
+    source, target = small_pair()
+    cfg = replace(BASE, t_max=4)
+    grid = dict(variants=("source_only", "no_da", "full"), seeds=(0, 1))
+    serial = run_suite(source, target, cfg, **grid)
+    caller, real_run_cell, trained = os.getpid(), train_module._run_cell, []
+
+    def run_cell(source, target, cfg):
+        if os.getpid() != caller and failure == "kill" and trained:
+            os.kill(os.getpid(), signal.SIGKILL)
+        trained.append(cfg)
+        return real_run_cell(source, target, cfg)
+
+    def dump_short(obj, pipe, **kwargs):
+        pipe.write(pickle.dumps(obj)[:10])
+
+    monkeypatch.setattr(train_module, "_run_cell", run_cell)
+    if failure == "short stream":
+        monkeypatch.setattr(pickle, "dump", dump_short)
+    result = run_suite(source, target, cfg, **grid, jobs=2)
+    assert len(suite_forks) == 1
+    got, want = _cells(result), _cells(serial)
+    assert got[0::2] == want[0::2]
+    assert got[1::2] == [(v, s, None, why) for v, s, _, _ in want[1::2]]
+
+
+def test_an_interrupt_in_the_callers_share_propagates(suite_forks, monkeypatch):
+    from dataclasses import replace
+    source, target = small_pair()
+    caller, real_run_cell = os.getpid(), train_module._run_cell
+
+    def run_cell(source, target, cfg):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        return real_run_cell(source, target, cfg)
+
+    monkeypatch.setattr(train_module, "_run_cell", run_cell)
+    with pytest.raises(KeyboardInterrupt):
+        run_suite(source, target, replace(BASE, t_max=4), variants=("source_only",),
+                  seeds=(0, 1), jobs=2)
+    assert len(suite_forks) == 1
+
+
+def test_a_fork_that_fails_kills_the_workers_already_forked(suite_forks, monkeypatch):
+    # the second of three forks fails: the first worker is killed and
+    # reaped, and no pipe end is left open
+    from dataclasses import replace
+    source, target = small_pair()
+    forking = os.fork
+
+    def fork():
+        if suite_forks:
+            suite_forks.append(os.getpid())
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return forking()
+
+    monkeypatch.setattr(os, "fork", fork)
+    free = os.pipe()  # the two lowest free descriptors; a leaked one would take one
+    for fd in free:
+        os.close(fd)
+    with pytest.raises(BlockingIOError):
+        run_suite(source, target, replace(BASE, t_max=4), variants=("source_only", "no_da"),
+                  seeds=(0, 1), jobs=4)
+    assert len(suite_forks) == 2
+    still_free = os.pipe()
+    for fd in still_free:
+        os.close(fd)
+    assert still_free == free
 
 
 def test_a_helper_run_beside_another_run_matches_its_one_thread_run(monkeypatch):
