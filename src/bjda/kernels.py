@@ -12,13 +12,15 @@ Three distances live here:
 * exact_wasserstein_sq
                exact squared Wasserstein cost between equal-size uniform
                samples, solved as a minimum-cost assignment.
+
+Importing this module loads numpy alone: optimal_assignment, bjda's one user
+of scipy, imports scipy's solver when a process first calls it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
 from .autodiff import Tape, Value, as_matrix, pairwise_sqdist_matrix
@@ -255,11 +257,14 @@ def closed_form_bures(s1: np.ndarray, s2: np.ndarray) -> float:
 def optimal_assignment(cost: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimum-cost row-to-column assignment of a square cost matrix.
 
-    Returns (cols, total) where cols[i] is the column matched to row i.
+    Returns (cols, total) where cols[i] is the column matched to row i. The
+    solver, scipy's linear_sum_assignment, is imported by the first call.
     """
     cost = as_matrix(cost, "cost")
     if cost.shape[0] != cost.shape[1]:
         raise InputError(f"optimal_assignment: cost matrix must be square, got {cost.shape}")
+    # 0.35-0.55 s and 49 MB of RSS on 2 vCPUs (scipy 1.17), paid only by wd and --kind ot
+    from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(cost)
     return cols, float(cost[rows, cols].sum())
 

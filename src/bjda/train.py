@@ -154,6 +154,7 @@ class RunMetrics:
     label_term_skips: int = 0     # iterations whose label-alignment term was skipped
     dmc_target_skips: int = 0     # iterations whose margin loss lost its target rows
     trip_degenerate: int = 0      # single-class batches seen by the triplet loss
+    tape_nodes: int = 0           # the most nodes one iteration's tape recorded
     train_threads: int = 1        # 2 when the run opened a helper, else 1
 
     def to_jsonl(self) -> str:
@@ -403,6 +404,7 @@ def _step(cfg: TrainConfig, params: ModelParams, scratch: dict[str, np.ndarray],
     record.iter = it
     record.pl_accept = const.keep.shape[0] / xt.shape[0] if cfg.pl else None
 
+    metrics.tape_nodes = max(metrics.tape_nodes, len(tape))  # backward empties the tape
     tape.backward(loss)
     for name in leaves:
         sgd_update(params.tensors[name], leaves[name].grad, params.velocities[name],

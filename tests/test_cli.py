@@ -108,10 +108,12 @@ def test_train_writes_all_artifacts(data_dir, tmp_path, capsys, monkeypatch):
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary) == {"status", "error", "final_target_accuracy", "final_per_class_accuracy",
                             "proto_skips", "label_term_skips",
-                            "dmc_target_skips", "trip_degenerate", "train_threads", "config",
-                            "wall_clock_seconds", "load_seconds", "numpy_version", "blas",
-                            "blas_threads", "blas_threads_env"}
+                            "dmc_target_skips", "trip_degenerate", "tape_nodes", "train_threads",
+                            "config", "wall_clock_seconds", "load_seconds", "numpy_version",
+                            "blas", "blas_threads", "blas_threads_env"}
     assert summary["status"] == "ok" and summary["error"] is None
+    # test_training_records_a_fixed_number_of_tape_nodes pins 22 for full
+    assert summary["tape_nodes"] == 22
     assert summary["train_threads"] == 1  # 16/8 wide: under the floor, the run opens no pool
     assert 0.0 <= summary["final_target_accuracy"] <= 1.0
     assert summary["final_target_accuracy"] == json.loads(lines[-1])["target_acc"]
@@ -587,6 +589,65 @@ def test_distance_ot_unequal_sizes_exits_2(tmp_path, capsys):
     b = _write(tmp_path / "b.csv", "label,f0\n0,1\n")
     assert main(["distance", "--kind", "ot", "--a", a, "--b", b]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------- import footprint
+
+# Runs cli.main on argv in an interpreter that has imported nothing else, and
+# prints, last, whether scipy's solver was loaded after import bjda and after
+# the command. Other tests in this process import the solver already.
+FRESH_MAIN = """
+import json, sys
+import bjda
+from bjda import cli
+loaded = ["scipy.optimize" in sys.modules]
+code = cli.main(sys.argv[1:])
+loaded.append("scipy.optimize" in sys.modules)
+print(json.dumps(loaded))
+sys.exit(code)
+"""
+
+
+def _fresh_main(argv):
+    """(stdout before the flags line, [loaded after import, loaded after the command])."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", FRESH_MAIN, *argv], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    out, _, flags = done.stdout.rstrip("\n").rpartition("\n")
+    return out, json.loads(flags)
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--classes", "3", "--dim", "4", "--per-class", "5"],
+    *(["train", *FAST, "--set", f"variant={v}"] for v in VARIANTS if v != "wd"),
+    ["distance", "--kind", "kbw"],
+    ["distance", "--kind", "bures"],
+], ids=["synth", *(v for v in VARIANTS if v != "wd"), "kbw", "bures"])
+def test_a_command_that_solves_no_assignment_never_loads_scipy(data_dir, tmp_path, argv):
+    a, b = str(data_dir / "source.csv"), str(data_dir / "target.csv")
+    files = {"synth": ["--out", str(tmp_path / "o")],
+             "train": ["--source", a, "--target", b, "--out", str(tmp_path / "o")],
+             "distance": ["--a", a, "--b", b]}[argv[0]]
+    assert _fresh_main(argv + files)[1] == [False, False]
+
+
+@pytest.mark.parametrize("argv", [["train", *FAST, "--set", "variant=wd"],
+                                  ["distance", "--kind", "ot"]], ids=["wd", "ot"])
+def test_an_assignment_loads_scipy_and_writes_the_in_process_bytes(data_dir, tmp_path, capsys,
+                                                                  argv):
+    a, b = str(data_dir / "source.csv"), str(data_dir / "target.csv")
+
+    def files(side):
+        return (["--source", a, "--target", b, "--out", str(tmp_path / side)]
+                if argv[0] == "train" else ["--a", a, "--b", b])
+
+    stdout, loaded = _fresh_main(argv + files("fresh"))
+    assert loaded == [False, True]
+    assert main(argv + files("here")) == 0
+    assert capsys.readouterr().out.rstrip("\n") == stdout != ""
+    for name in ("metrics.jsonl", "model.bin") if argv[0] == "train" else ():
+        assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
 
 
 # ---------------------------------------------------------------- gradcheck

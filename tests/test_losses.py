@@ -601,10 +601,11 @@ def test_training_records_a_fixed_number_of_tape_nodes(monkeypatch):
     for variant in expected:
         for batch in (16, 64):
             counts.clear()
-            train(source, target, TrainConfig(
+            _, metrics = train(source, target, TrainConfig(
                 variant=variant, hidden_dim=16, feat_dim=8, t_max=3, eval_every=3,
                 batch_source=batch, batch_target=batch))
             seen[variant, batch] = set(counts)
+            assert metrics.tape_nodes == max(counts)  # summary.json's count
     assert seen == {(v, b): {n} for v, n in expected.items() for b in (16, 64)}
 
 
